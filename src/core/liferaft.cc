@@ -35,17 +35,13 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   system->evaluator_ = std::make_unique<join::JoinEvaluator>(
       system->cache_.get(), system->catalog_->index(),
       storage::DiskModel(options.disk), options.hybrid);
-  system->evaluator_->set_use_match_arenas(options.match_arenas);
-  system->evaluator_->set_use_io_arenas(options.io_arenas);
   system->evaluator_->set_topology(system->topology_.get());
   if (options.num_threads > 1) {
     system->pool_ = std::make_unique<util::ThreadPool>(options.num_threads);
     system->evaluator_->set_thread_pool(system->pool_.get());
-    system->cache_->set_thread_pool(system->pool_.get());
   }
   system->manager_ = std::make_unique<query::WorkloadManager>(
       system->catalog_->num_buckets());
-  system->manager_->set_use_restore_arena(options.io_arenas);
 
   sched::LifeRaftConfig sched_config;
   sched_config.alpha = options.alpha;
@@ -64,7 +60,6 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   pipeline_config.cancel_on_mispredict = options.cancel_on_mispredict;
   pipeline_config.adaptive_prefetch = options.adaptive_prefetch;
   pipeline_config.controller.max_depth = options.max_prefetch_depth;
-  pipeline_config.prefetch_aware_eviction = options.prefetch_aware_eviction;
   system->pipeline_ = std::make_unique<exec::BatchPipeline>(
       system->scheduler_.get(), system->manager_.get(),
       system->evaluator_.get(), pipeline_config, system->topology_.get());
@@ -126,7 +121,7 @@ Result<std::vector<QueryCompletion>> LifeRaft::Drain(
   }
   // The queues are empty: any prefetch bet still pending targets a bucket
   // with no work, so the bet cannot pay off until new queries arrive —
-  // drop it rather than holding its pin across an idle period.
+  // drop it rather than holding its read across an idle period.
   pipeline_->CancelOutstandingPrefetches();
   return std::vector<QueryCompletion>(completions_.begin() + first_new,
                                       completions_.end());

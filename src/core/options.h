@@ -61,7 +61,7 @@ struct LifeRaftOptions {
   /// adaptive_prefetch this only seeds the controller's starting depth.
   size_t prefetch_depth = 1;
   /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
+  /// instead of holding them until claimed.
   bool cancel_on_mispredict = false;
   /// Feedback-driven prefetch depth between 0 and max_prefetch_depth:
   /// shrink on mispredict bursts, grow while hidden latency per claim
@@ -70,16 +70,6 @@ struct LifeRaftOptions {
   bool adaptive_prefetch = false;
   /// Depth ceiling for the adaptive controller (>= 1).
   size_t max_prefetch_depth = 4;
-  /// Demote buckets inside the scheduler's prediction window last on
-  /// eviction; off restores plain LRU.
-  bool prefetch_aware_eviction = true;
-  /// Per-worker bump arenas for parallel match collection (no effect at
-  /// num_threads == 1); results are byte-identical on or off.
-  bool match_arenas = true;
-  /// Bump arenas for batch-scoped I/O scratch: spill-restore read buffers
-  /// (WorkloadManager) and worker-side bucket page decode buffers; results
-  /// are byte-identical on or off.
-  bool io_arenas = true;
 
   Status Validate() const;
 };

@@ -4,7 +4,6 @@
 #include <cassert>
 
 #include "join/hybrid.h"
-#include "storage/async_io.h"
 #include "storage/bucket.h"
 
 namespace liferaft::exec {
@@ -46,31 +45,38 @@ BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
           std::make_unique<PrefetchController>(config_.controller);
     }
   }
+  if (config_.real_io || config_.enable_prefetch ||
+      config_.adaptive_prefetch) {
+    reader_ = cache_->mutable_store()->NewAsyncReader(topology_);
+  }
 }
 
 sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) const {
   return [this, now](storage::BucketIndex b) {
     if (cache_->Contains(b)) return true;
-    // A prefetched bucket whose modeled fetch has completed is as good as
-    // resident for the metric's phi term. A bucket only ever bets on its
-    // own arm, but scanning every arm keeps the probe independent of the
-    // placement map.
+    // A bet that has landed is as good as resident for the metric's phi
+    // term. A bucket only ever bets on its own arm, but scanning every arm
+    // keeps the probe independent of the placement map.
     for (const Arm& arm : arms_) {
-      for (const PendingPrefetch& p : arm.bets) {
-        if (p.bucket == b && p.done_ms <= now) return true;
+      for (const Bet& bet : arm.bets) {
+        if (bet.bucket == b && Landed(bet, now)) return true;
       }
     }
     return false;
   };
 }
 
+bool BatchPipeline::Landed(const Bet& bet, TimeMs now) const {
+  if (!config_.real_io) return bet.done_ms <= now;
+  return bet.read->has_value() && (*bet.read)->status.ok();
+}
+
 bool BatchPipeline::WillScan(storage::BucketIndex bucket,
-                             uint64_t queue_objects) const {
+                             uint64_t queue_objects, bool cached) const {
   if (evaluator_->index() == nullptr) return true;
   return join::ChooseStrategy(evaluator_->hybrid_config(), queue_objects,
                               cache_->store().BucketObjectCount(bucket),
-                              /*bucket_cached=*/true) ==
-         join::JoinStrategy::kScan;
+                              cached) == join::JoinStrategy::kScan;
 }
 
 size_t BatchPipeline::pending_prefetches() const {
@@ -86,8 +92,49 @@ std::vector<storage::VolumeIoStats> BatchPipeline::volume_stats() const {
   return stats;
 }
 
+std::vector<storage::AsyncVolumeStats> BatchPipeline::read_queue_stats()
+    const {
+  return reader_ != nullptr ? reader_->VolumeStats()
+                            : std::vector<storage::AsyncVolumeStats>{};
+}
+
+BatchPipeline::Bet BatchPipeline::Submit(storage::BucketIndex b) {
+  Bet bet;
+  bet.bucket = b;
+  bet.read = std::make_shared<std::optional<storage::AsyncReadCompletion>>();
+  // The callback runs on this thread, inside the reader's Poll()/Wait(),
+  // and touches only the bet's own slot — which outlives a dropped bet.
+  reader_->SubmitRead(
+      b, [slot = bet.read](const storage::AsyncReadCompletion& c) {
+        *slot = c;
+      });
+  return bet;
+}
+
+TimeMs BatchPipeline::Await(const Bet& bet) {
+  const TimeMs t0 = wall_.NowMs();
+  // Wait() parks until ANY completion arrives; completions of other arms'
+  // bets delivered along the way are the overlap real mode measures.
+  while (!bet.read->has_value()) {
+    assert(reader_->in_flight() > 0);
+    reader_->Wait();
+  }
+  return wall_.NowMs() - t0;
+}
+
+uint64_t BatchPipeline::Drop(const Bet& bet) {
+  // Modeled mode waits for the read so the waste (which feeds the
+  // adaptive controller) is the same at every thread count and disk
+  // speed; real mode never blocks on a read nobody wants.
+  if (!config_.real_io) Await(bet);
+  const uint64_t wasted = bet.read->has_value() && (*bet.read)->status.ok()
+                              ? (*bet.read)->bucket->EstimatedBytes()
+                              : 0;
+  cache_->CountPrefetchCancel(wasted);
+  return wasted;
+}
+
 Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
-  if (async_reader_ != nullptr) return StepReal(now);
   // Adaptive mode reads each arm's depth from its controller (0 = off for
   // now) and always drops bets that leave the prediction window — the
   // drop doubles as that arm's controller's mispredict signal.
@@ -95,11 +142,15 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
       config_.enable_prefetch || config_.adaptive_prefetch;
   const bool drop_stale =
       config_.cancel_on_mispredict || config_.adaptive_prefetch;
+  const bool real = config_.real_io;
   // Prefetch bookkeeping spans only the bucket arms; the spill arm (the
   // trailing entry, when present) never carries bets.
   const size_t volumes = bucket_volumes_;
   std::vector<PrefetchFeedback> feedback(volumes);
 
+  // Harvest whatever the queues finished since the last step, so the
+  // residency probe sees real mode's completed bets.
+  if (reader_ != nullptr) reader_->Poll();
   const sched::CacheProbe cached = MakeCacheProbe(now);
   std::optional<storage::BucketIndex> pick =
       scheduler_->PickBucket(*manager_, now, cached);
@@ -110,48 +161,75 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   outcome.volume = VolumeOf(*pick);
   Arm& pick_arm = arms_[outcome.volume];
   uint64_t restored_bytes = 0;
-  std::vector<query::WorkloadEntry> entries =
-      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
+  LIFERAFT_ASSIGN_OR_RETURN(
+      std::vector<query::WorkloadEntry> entries,
+      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes));
+  uint64_t queue_objects = 0;
+  for (const query::WorkloadEntry& e : entries) {
+    queue_objects += e.objects.size();
+  }
 
   // Claim the outstanding bet on this bucket if the batch is the one it
-  // bet on: the bucket becomes resident (the evaluator sees a hit,
-  // charging no T_b) and the clock is charged only the un-hidden tail of
-  // the fetch. A bet on a different bucket stays pinned until its bucket
-  // is scheduled (or, under cancel_on_mispredict, until it leaves the
-  // prediction window below). Claim only when the evaluator will actually
-  // scan — an index-probing batch would never touch the fetched bucket.
-  // At depth > 1 a bet can still be queued behind its disk arm when its
-  // bucket comes up (modeled residual >= its full T_b); waiting out that
-  // whole queue would cost more than a plain foreground read, so the
-  // charge is capped at T_b — as if the arm preempted the backlog and
-  // fetched the bucket fresh — while the claim still reuses the physical
-  // read. A capped claim hides nothing. (At depth 1 the residual is at
-  // most T_b minus the previous batch's matching time, so the cap never
-  // binds and PR 2 accounting is reproduced exactly.) A bucket bets only
-  // on its own arm, so only pick_arm's queue can hold the bet.
-  auto bet = std::find_if(
-      pick_arm.bets.begin(), pick_arm.bets.end(),
-      [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet != pick_arm.bets.end()) {
-    uint64_t queue_objects = 0;
-    for (const query::WorkloadEntry& e : entries) {
-      queue_objects += e.objects.size();
-    }
-    if (WillScan(*pick, queue_objects)) {
+  // bet on: wait for its read, hand the bucket to the cache (the evaluator
+  // then sees a hit, charging no T_b) and charge the clock only the
+  // un-hidden tail of the fetch. A bet on a different bucket stays queued
+  // until its bucket is scheduled (or, under cancel_on_mispredict, until
+  // it leaves the prediction window below). Claim only when the evaluator
+  // will actually scan — an index-probing batch would never touch the
+  // fetched bucket. A bucket bets only on its own arm, so only pick_arm's
+  // queue can hold the bet.
+  //
+  // Modeled residual: at depth > 1 a bet can still be queued behind its
+  // disk arm when its bucket comes up (modeled residual >= its full T_b);
+  // waiting out that whole queue would cost more than a plain foreground
+  // read, so the charge is capped at T_b — as if the arm preempted the
+  // backlog and fetched the bucket fresh — while the claim still reuses
+  // the physical read. A capped claim hides nothing. (At depth 1 the
+  // residual is at most T_b minus the previous batch's matching time, so
+  // the cap never binds and PR 2 accounting is reproduced exactly.) Real
+  // residual: the measured wait; what the read's latency spent before the
+  // wait began was hidden behind earlier steps.
+  auto bet = std::find_if(pick_arm.bets.begin(), pick_arm.bets.end(),
+                          [&](const Bet& b) { return b.bucket == *pick; });
+  if (bet != pick_arm.bets.end() &&
+      WillScan(*pick, queue_objects, /*cached=*/true)) {
+    const TimeMs waited = Await(*bet);
+    const storage::AsyncReadCompletion read = std::move(**bet->read);
+    TimeMs hidden;
+    if (real) {
+      outcome.fetch_residual_ms = waited;
+      hidden = std::max(0.0, read.latency_ms - waited);
+      pick_arm.stats.busy_ms += read.latency_ms;
+    } else {
       outcome.fetch_residual_ms =
           std::min(std::max(0.0, bet->done_ms - now), bet->fetch_ms);
-      const TimeMs hidden = bet->fetch_ms - outcome.fetch_residual_ms;
-      prefetch_hidden_ms_ += hidden;
-      pick_arm.stats.hidden_ms += hidden;
-      ++pick_arm.stats.prefetch_claims;
-      ++feedback[outcome.volume].claims;
-      feedback[outcome.volume].hidden_ms += hidden;
-      // A capped claim (residual == full fetch) reused the physical read
-      // but hid nothing — the bet was queued too deep: stale by depth.
-      if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-      LIFERAFT_RETURN_IF_ERROR(cache_->Get(*pick).status());
-      pick_arm.bets.erase(bet);
+      hidden = bet->fetch_ms - outcome.fetch_residual_ms;
     }
+    pick_arm.bets.erase(bet);
+    if (!read.status.ok()) return read.status;
+    cache_->InsertRead(*pick, read.bucket, /*prefetched=*/true);
+    prefetch_hidden_ms_ += hidden;
+    pick_arm.stats.hidden_ms += hidden;
+    ++pick_arm.stats.prefetch_claims;
+    ++feedback[outcome.volume].claims;
+    feedback[outcome.volume].hidden_ms += hidden;
+    // A capped claim (residual == full fetch) reused the physical read
+    // but hid nothing — the bet was queued too deep: stale by depth.
+    if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
+  } else if (real && !cache_->Contains(*pick) &&
+             WillScan(*pick, queue_objects, /*cached=*/false)) {
+    // Real foreground miss, decided with the bucket's actual residency as
+    // the evaluator decides it: read on the bucket's own volume queue, so
+    // it physically serializes behind that arm's bets, and charge the
+    // measured blocked time.
+    const Bet fetch = Submit(*pick);
+    outcome.fetch_residual_ms = Await(fetch);
+    const storage::AsyncReadCompletion& read = **fetch.read;
+    if (!read.status.ok()) return read.status;
+    cache_->InsertRead(*pick, read.bucket, /*prefetched=*/false);
+    pick_arm.stats.busy_ms += read.latency_ms;
+    ++pick_arm.stats.foreground_reads;
+    pick_arm.stats.foreground_bytes += read.bytes;
   }
 
   // Predict the next picks and start their physical reads now, overlapping
@@ -164,8 +242,9 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // admits new ones, and a still-predicted bet must not read as a
   // mispredict just because the window got smaller) and (b) to surface
   // candidates for EVERY arm, so an arm the front of the prediction does
-  // not touch still gets its fetches started.
-  std::vector<std::vector<storage::BucketIndex>> newly_predicted(volumes);
+  // not touch still gets its fetches started. New bets join the back of
+  // their arm's queue; placed[v] counts the ones this step added.
+  std::vector<size_t> placed(volumes, 0);
   if (prefetch_on) {
     std::vector<size_t> want(volumes);
     for (size_t v = 0; v < volumes; ++v) {
@@ -179,21 +258,20 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // empty window — every depth scaled to 0 — restores plain LRU).
     // Skipped when unchanged: the cache locks every shard to swap
     // windows.
-    if (config_.prefetch_aware_eviction && predicted != last_window_) {
+    if (predicted != last_window_) {
       cache_->SetPredictionWindow(predicted);
       last_window_ = predicted;
     }
     if (drop_stale) {
-      // Drop bets that fell out of the prediction window: unpin so the
-      // cache may evict them. The arm time already modeled for them is
-      // not refunded — the bet was placed and lost — and any bytes the
-      // dropped bet had physically fetched are charged to its arm's
-      // controller as waste.
+      // Drop bets that fell out of the prediction window. The arm time
+      // already modeled for them is not refunded — the bet was placed and
+      // lost — and any bytes the dropped bet fetched are charged to its
+      // arm's controller as waste.
       for (size_t v = 0; v < volumes; ++v) {
         for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
           if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
               predicted.end()) {
-            feedback[v].wasted_bytes += cache_->CancelPrefetch(it->bucket);
+            feedback[v].wasted_bytes += Drop(*it);
             it = arms_[v].bets.erase(it);
             ++feedback[v].cancels;
           } else {
@@ -206,28 +284,29 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // service order so each arm's queue stays in that order.
     for (storage::BucketIndex b : predicted) {
       const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() + newly_predicted[v].size() >=
-          current_prefetch_depth(v)) {
-        continue;
-      }
+      if (arms_[v].bets.size() >= current_prefetch_depth(v)) continue;
       if (cache_->Contains(b)) continue;
-      const bool already_queued = std::any_of(
-          arms_[v].bets.begin(), arms_[v].bets.end(),
-          [&](const PendingPrefetch& p) { return p.bucket == b; });
+      const bool already_queued =
+          std::any_of(arms_[v].bets.begin(), arms_[v].bets.end(),
+                      [&](const Bet& queued) { return queued.bucket == b; });
       if (already_queued) continue;
-      (void)cache_->PrefetchAsync(b);
-      newly_predicted[v].push_back(b);
+      arms_[v].bets.push_back(Submit(b));
+      ++placed[v];
+      ++arms_[v].stats.prefetch_issued;
+      cache_->CountPrefetchIssued();
     }
   }
 
   Result<join::BatchResult> evaluated =
       evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
   if (!evaluated.ok()) {
-    // The bets issued above are not in any arm's queue yet (their modeled
-    // times need this batch's disk phase); cancel them before surfacing
-    // the error so no pin or inflight read is orphaned.
-    for (const std::vector<storage::BucketIndex>& arm_new : newly_predicted) {
-      for (storage::BucketIndex b : arm_new) cache_->CancelPrefetch(b);
+    // The bets placed above have no modeled times yet (those need this
+    // batch's disk phase); drop them before surfacing the error.
+    for (size_t v = 0; v < volumes; ++v) {
+      for (; placed[v] > 0; --placed[v]) {
+        Drop(arms_[v].bets.back());
+        arms_[v].bets.pop_back();
+      }
     }
     return evaluated.status();
   }
@@ -236,9 +315,30 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // Fetching spilled workload segments back from disk is sequential I/O —
   // part of this batch's disk phase, so it also delays a prefetch's start
   // on the batch's arm. The spill file is run-scoped scratch, costed with
-  // the default (evaluator) model rather than any volume's.
+  // the default (evaluator) model rather than any volume's. (Real mode
+  // keeps the modeled price as telemetry only: the restore happened
+  // physically inside TakeBucket and the driver's wall clock holds it.)
   outcome.restore_ms =
       restored_bytes > 0 ? model.SequentialReadMs(restored_bytes) : 0.0;
+  outcome.strategy = result.strategy;
+  outcome.cache_hit = result.cache_hit;
+  outcome.cost_ms = result.cost_ms;
+  outcome.io_ms = result.io_ms;
+  outcome.cpu_ms = result.cpu_ms;
+  outcome.counters = result.counters;
+  outcome.matches = std::move(result.matches);
+
+  // Feed every arm's controller exactly once per completed step — steps
+  // that resolved none of an arm's bets still advance its probe and
+  // adjustment timers.
+  for (size_t v = 0; v < volumes; ++v) {
+    if (arms_[v].controller != nullptr) {
+      arms_[v].controller->Observe(feedback[v]);
+    }
+  }
+  // Real mode keeps no modeled arm clocks: the physical queues ARE the
+  // arm serialization.
+  if (real) return std::optional<StepOutcome>(std::move(outcome));
 
   // Independent arms: bets still in flight on the batch's own arm yield
   // that arm to the foreground I/O — their completion slips by however
@@ -275,21 +375,24 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   for (size_t v = 0; v < volumes; ++v) {
     Arm& arm = arms_[v];
     TimeMs arm_free_ms = v == outcome.volume ? pick_arm_done_ms : now;
-    for (PendingPrefetch& p : arm.bets) {
+    // The last placed[v] bets are this step's; the earlier ones slip.
+    const size_t old_bets = arm.bets.size() - placed[v];
+    for (size_t i = 0; i < old_bets; ++i) {
+      Bet& p = arm.bets[i];
       if (v == outcome.volume &&
           p.done_ms > now + outcome.fetch_residual_ms) {
         p.done_ms += unanticipated_disk_ms;
       }
       arm_free_ms = std::max(arm_free_ms, p.done_ms);
     }
-    for (storage::BucketIndex b : newly_predicted[v]) {
+    for (size_t i = old_bets; i < arm.bets.size(); ++i) {
+      Bet& p = arm.bets[i];
       const uint64_t bytes = cache_->store().ModeledBucketBytes(
-          b, config_.charge_encoded_bytes);
-      const TimeMs fetch_ms = ModelFor(b).SequentialReadMs(bytes);
-      arm_free_ms += fetch_ms;
-      arm.bets.push_back(PendingPrefetch{b, arm_free_ms, fetch_ms});
-      ++arm.stats.prefetch_issued;
-      arm.stats.busy_ms += fetch_ms;
+          p.bucket, config_.charge_encoded_bytes);
+      p.fetch_ms = ModelFor(p.bucket).SequentialReadMs(bytes);
+      arm_free_ms += p.fetch_ms;
+      p.done_ms = arm_free_ms;
+      arm.stats.busy_ms += p.fetch_ms;
     }
     arm.stats.busy_until_ms = std::max(arm.stats.busy_until_ms, arm_free_ms);
   }
@@ -320,247 +423,21 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
         std::max(spill.stats.busy_until_ms, foreground_done_ms);
   }
 
-  outcome.strategy = result.strategy;
-  outcome.cache_hit = result.cache_hit;
-  outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
-  outcome.counters = result.counters;
-  outcome.matches = std::move(result.matches);
-  // Feed every arm's controller exactly once per completed step — steps
-  // that resolved none of an arm's bets still advance its probe and
-  // adjustment timers.
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
-  return std::optional<StepOutcome>(std::move(outcome));
-}
-
-void BatchPipeline::SubmitRealBet(storage::BucketIndex b) {
-  // The completion callback runs on THIS thread, inside the reader's
-  // Poll()/Wait() — never concurrently — so real_bets_ needs no lock. The
-  // ticket check drops a late completion whose bet was already canceled
-  // (and possibly resubmitted under the same bucket index).
-  const uint64_t ticket = async_reader_->SubmitRead(
-      b, [this](const storage::AsyncReadCompletion& c) {
-        auto it = real_bets_.find(c.index);
-        if (it == real_bets_.end() || it->second.ticket != c.ticket) return;
-        it->second.completed = true;
-        it->second.status = c.status;
-        it->second.bucket = c.bucket;
-        it->second.latency_ms = c.latency_ms;
-        it->second.bytes = c.bytes;
-      });
-  RealBet slot;
-  slot.ticket = ticket;
-  real_bets_[b] = std::move(slot);
-}
-
-TimeMs BatchPipeline::WaitForRealBet(storage::BucketIndex b) {
-  const TimeMs t0 = wall_.NowMs();
-  for (;;) {
-    auto it = real_bets_.find(b);
-    if (it == real_bets_.end() || it->second.completed) break;
-    // Wait() parks until ANY completion arrives; completions for other
-    // arms' bets delivered along the way are the overlap this mode
-    // measures. The in_flight guard breaks a (should-be-impossible)
-    // wait on a bet the queues no longer know about.
-    if (async_reader_->Wait() == 0 && async_reader_->in_flight() == 0) break;
-  }
-  return wall_.NowMs() - t0;
-}
-
-Result<std::optional<StepOutcome>> BatchPipeline::StepReal(TimeMs now) {
-  // The measured-time twin of Step: the same pick → prefetch → claim →
-  // evaluate loop, but bets are REAL reads on the per-volume submission
-  // queues and every I/O charge below is a wall-clock measurement, not
-  // DiskModel arithmetic. There are no modeled arm clocks to maintain —
-  // the physical queues ARE the arm serialization — so the whole
-  // done_ms/slip block of the modeled path has no counterpart here.
-  const bool prefetch_on =
-      config_.enable_prefetch || config_.adaptive_prefetch;
-  const bool drop_stale =
-      config_.cancel_on_mispredict || config_.adaptive_prefetch;
-  const size_t volumes = bucket_volumes_;
-  std::vector<PrefetchFeedback> feedback(volumes);
-
-  // Harvest whatever the queues finished since the last step so the
-  // residency probe sees completed bets.
-  async_reader_->Poll();
-
-  const sched::CacheProbe cached = [this](storage::BucketIndex b) {
-    if (cache_->Contains(b)) return true;
-    auto it = real_bets_.find(b);
-    return it != real_bets_.end() && it->second.completed &&
-           it->second.status.ok();
-  };
-  std::optional<storage::BucketIndex> pick =
-      scheduler_->PickBucket(*manager_, now, cached);
-  if (!pick.has_value()) return std::optional<StepOutcome>{};
-
-  StepOutcome outcome;
-  outcome.bucket = *pick;
-  outcome.volume = VolumeOf(*pick);
-  Arm& pick_arm = arms_[outcome.volume];
-  uint64_t restored_bytes = 0;
-  std::vector<query::WorkloadEntry> entries =
-      manager_->TakeBucket(*pick, &outcome.completed, &restored_bytes);
-
-  uint64_t queue_objects = 0;
-  for (const query::WorkloadEntry& e : entries) {
-    queue_objects += e.objects.size();
-  }
-  const bool will_scan = WillScan(*pick, queue_objects);
-
-  // Claim the bet on this bucket: block until its read completes (the
-  // measured wait is the step's fetch residual), hand the bucket to the
-  // cache so the evaluator sees a hit. Latency already hidden behind
-  // earlier steps' compute is the claim's hidden time.
-  auto bet_it = std::find_if(
-      pick_arm.bets.begin(), pick_arm.bets.end(),
-      [&](const PendingPrefetch& p) { return p.bucket == *pick; });
-  if (bet_it != pick_arm.bets.end() && will_scan) {
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet bet = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    pick_arm.bets.erase(bet_it);  // callbacks never touch arm queues
-    if (!bet.status.ok()) return bet.status;
-    cache_->Put(*pick, bet.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*bet.bucket);
-    outcome.fetch_residual_ms = waited;
-    const TimeMs hidden = std::max(0.0, bet.latency_ms - waited);
-    prefetch_hidden_ms_ += hidden;
-    pick_arm.stats.hidden_ms += hidden;
-    pick_arm.stats.busy_ms += bet.latency_ms;
-    ++pick_arm.stats.prefetch_claims;
-    ++feedback[outcome.volume].claims;
-    feedback[outcome.volume].hidden_ms += hidden;
-    if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-  } else if (will_scan && !cache_->Contains(*pick) &&
-             real_bets_.find(*pick) == real_bets_.end()) {
-    // Foreground miss: route it through the same submission queue as the
-    // bets so it physically serializes behind them on the bucket's own
-    // volume, and charge the measured blocked time.
-    SubmitRealBet(*pick);
-    const TimeMs waited = WaitForRealBet(*pick);
-    RealBet fetched = std::move(real_bets_[*pick]);
-    real_bets_.erase(*pick);
-    if (!fetched.status.ok()) return fetched.status;
-    cache_->Put(*pick, fetched.bucket);
-    cache_->mutable_store()->RecordPrefetchedRead(*fetched.bucket);
-    outcome.fetch_residual_ms = waited;
-    pick_arm.stats.busy_ms += fetched.latency_ms;
-    ++pick_arm.stats.foreground_reads;
-    pick_arm.stats.foreground_bytes += fetched.bytes;
-  }
-
-  // Predict the next picks and submit their reads NOW, before the join
-  // below — the queues work through them while the CPU matches, which is
-  // the overlap real mode exists to measure. Window publishing and
-  // stale-bet dropping mirror the modeled path; a dropped real bet is
-  // simply forgotten (the ticket check discards its late completion) and
-  // its fetched bytes, if any, are charged to the controller as waste.
-  if (prefetch_on) {
-    std::vector<size_t> want(volumes);
-    for (size_t v = 0; v < volumes; ++v) {
-      want[v] = std::max(current_prefetch_depth(v), arms_[v].bets.size());
-    }
-    std::vector<storage::BucketIndex> predicted =
-        scheduler_->PeekNextBucketsCovering(
-            *manager_, now, cached,
-            [this](storage::BucketIndex b) { return VolumeOf(b); }, want);
-    if (config_.prefetch_aware_eviction && predicted != last_window_) {
-      cache_->SetPredictionWindow(predicted);
-      last_window_ = predicted;
-    }
-    if (drop_stale) {
-      for (size_t v = 0; v < volumes; ++v) {
-        for (auto it = arms_[v].bets.begin(); it != arms_[v].bets.end();) {
-          if (std::find(predicted.begin(), predicted.end(), it->bucket) ==
-              predicted.end()) {
-            auto rb = real_bets_.find(it->bucket);
-            if (rb != real_bets_.end()) {
-              if (rb->second.completed && rb->second.status.ok()) {
-                feedback[v].wasted_bytes += rb->second.bytes;
-              }
-              real_bets_.erase(rb);
-            }
-            it = arms_[v].bets.erase(it);
-            ++feedback[v].cancels;
-          } else {
-            ++it;
-          }
-        }
-      }
-    }
-    for (storage::BucketIndex b : predicted) {
-      const storage::VolumeIndex v = VolumeOf(b);
-      if (arms_[v].bets.size() >= current_prefetch_depth(v)) continue;
-      if (cache_->Contains(b)) continue;
-      const bool already_queued = std::any_of(
-          arms_[v].bets.begin(), arms_[v].bets.end(),
-          [&](const PendingPrefetch& p) { return p.bucket == b; });
-      if (already_queued) continue;
-      SubmitRealBet(b);
-      // Queue order only; the modeled completion fields stay zero.
-      arms_[v].bets.push_back(PendingPrefetch{b, 0.0, 0.0});
-      ++arms_[v].stats.prefetch_issued;
-    }
-  }
-
-  Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
-  // On error the just-submitted bets stay pending in real_bets_; they hold
-  // no cache pins, and teardown's CancelOutstandingPrefetches drains them.
-  if (!evaluated.ok()) return evaluated.status();
-  join::BatchResult result = std::move(*evaluated);
-  // Spill restores happened physically inside TakeBucket (the spill file
-  // read is real I/O on every path); the modeled price is kept for the
-  // outcome's telemetry but no wall charge is added here — the driver's
-  // wall clock already contains the blocked time.
-  outcome.restore_ms =
-      restored_bytes > 0
-          ? evaluator_->disk_model().SequentialReadMs(restored_bytes)
-          : 0.0;
-
-  outcome.strategy = result.strategy;
-  outcome.cache_hit = result.cache_hit;
-  outcome.cost_ms = result.cost_ms;
-  outcome.io_ms = result.io_ms;
-  outcome.cpu_ms = result.cpu_ms;
-  outcome.counters = result.counters;
-  outcome.matches = std::move(result.matches);
-  for (size_t v = 0; v < volumes; ++v) {
-    if (arms_[v].controller != nullptr) {
-      arms_[v].controller->Observe(feedback[v]);
-    }
-  }
   return std::optional<StepOutcome>(std::move(outcome));
 }
 
 void BatchPipeline::CancelOutstandingPrefetches() {
+  // Let every queued read land first, so each dropped bet's fetched bytes
+  // are charged in both modes and no I/O worker still reads on the run's
+  // behalf when the caller tears down.
+  if (reader_ != nullptr) reader_->Drain();
   for (Arm& arm : arms_) {
-    if (async_reader_ == nullptr) {
-      for (const PendingPrefetch& p : arm.bets) {
-        cache_->CancelPrefetch(p.bucket);
-      }
-    }
+    for (const Bet& bet : arm.bets) Drop(bet);
     arm.bets.clear();
   }
-  if (async_reader_ != nullptr) {
-    // Real bets hold no cache pins. Forget them first (late completions
-    // then fail the ticket lookup and drop), then drain the queues so no
-    // worker still references the store when the caller tears down.
-    real_bets_.clear();
-    async_reader_->Drain();
-  }
   // End of run: no prediction is live, so stop protecting anything.
-  if (config_.prefetch_aware_eviction) {
-    cache_->SetPredictionWindow({});
-    last_window_.clear();
-  }
+  cache_->SetPredictionWindow({});
+  last_window_.clear();
 }
 
 }  // namespace liferaft::exec

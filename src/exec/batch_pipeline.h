@@ -1,17 +1,29 @@
 // The unified batch-execution pipeline: the paper's core scheduling loop —
-// pick a bucket, prefetch the predicted next picks, claim a completed
-// prefetch, evaluate the bucket's whole workload queue, account the
-// virtual-clock I/O — extracted into one place so both virtual-time
-// drivers (core::LifeRaft::ProcessNextBatch and sim::SimEngine's shared
-// mode) execute the identical loop. Before this layer existed the loop was
-// duplicated per driver and only the simulator had PR 2's prefetch
-// pipelining; now every feature of the loop lands in both drivers for
-// free.
+// pick a bucket, take its workload queue, claim a prefetch bet on it,
+// place bets on the predicted next picks, evaluate the whole queue,
+// account the I/O — written once, for both drivers
+// (core::LifeRaft::ProcessNextBatch and sim::SimEngine's shared mode) and
+// for both I/O modes.
+//
+// One read path: every bet — and, in real mode, every foreground miss —
+// is a physical read on the pipeline's storage::AsyncReader, obtained
+// from BucketStore::NewAsyncReader (per-volume submission queues, one I/O
+// worker per volume). A claim hands the fetched bucket to the cache with
+// one BucketCache::InsertRead. Only two things depend on the I/O mode:
+//  * the price of time. Modeled (the default): DiskModel arm clocks, a bet
+//    counts as resident once its modeled done_ms <= now, and a claim pays
+//    the capped residual described below. Real (PipelineConfig::real_io):
+//    a bet is resident once its read completed, and a claim pays the
+//    MEASURED wall time the step blocked on the queue;
+//  * who reads a foreground miss. Modeled: the evaluator's cache Get, priced
+//    T_b. Real: the bucket's volume queue, so it serializes behind that
+//    arm's bets; the batch's strategy is decided from the bucket's actual
+//    residency, as the evaluator decides it.
 //
 // Depth-K prefetch: with prefetching enabled the pipeline keeps up to
 // `prefetch_depth` predicted buckets in flight per disk arm
 // (Scheduler::PeekNextBuckets supplies the predicted service order).
-// Physical reads start immediately on the worker pool, overlapping the
+// Physical reads start immediately on the I/O workers, overlapping the
 // current batch's join compute; the *modeled* fetches serialize per arm —
 // a prefetch's virtual completion time queues behind the current batch's
 // disk phase (when they share the arm) and behind every earlier prefetch
@@ -41,13 +53,16 @@
 // With a null topology (or num_volumes == 1) every bucket maps to arm 0
 // and the accounting reduces to the single-arm model byte for byte.
 //
-// Mispredictions: by default an unclaimed prefetch is held (pinned) until
-// its bucket is eventually scheduled, its modeled completion slipping
-// whenever the foreground batch needs its disk arm. With
-// `cancel_on_mispredict` the pipeline instead drops queued prefetches that
-// have fallen out of the scheduler's current prediction window, unpinning
-// their buckets so the cache can evict them (the arm time already modeled
-// for them is not refunded — the bet was placed and lost).
+// Mispredictions: by default an unclaimed prefetch is held until its
+// bucket is eventually scheduled, its modeled completion slipping whenever
+// the foreground batch needs its disk arm. With `cancel_on_mispredict` the
+// pipeline instead drops queued prefetches that have fallen out of the
+// scheduler's current prediction window (the arm time already modeled for
+// them is not refunded — the bet was placed and lost). A dropped bet's
+// fetched bytes are charged to the cache's prefetch_wasted_bytes and to
+// its arm's controller; in modeled mode the drop waits for the read to
+// land so the charge is deterministic, in real mode it charges only what
+// has landed.
 //
 // Adaptive depth (PR 4, per-arm since the topology refactor): with
 // `adaptive_prefetch` the fixed `prefetch_depth` becomes only the
@@ -64,8 +79,7 @@
 // Prefetch-aware eviction: each time the pipeline peeks the prediction
 // window it publishes it to the cache (BucketCache::SetPredictionWindow),
 // so eviction demotes predicted buckets last and the prefetcher stops
-// evicting what it is about to fetch or claim. Opt out with
-// `prefetch_aware_eviction = false` for A/B comparison.
+// evicting what it is about to fetch or claim.
 
 #ifndef LIFERAFT_EXEC_BATCH_PIPELINE_H_
 #define LIFERAFT_EXEC_BATCH_PIPELINE_H_
@@ -75,21 +89,17 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/prefetch_controller.h"
 #include "join/evaluator.h"
 #include "query/workload.h"
 #include "sched/scheduler.h"
+#include "storage/async_io.h"
 #include "storage/bucket_cache.h"
 #include "storage/topology.h"
 #include "util/clock.h"
 #include "util/status.h"
-
-namespace liferaft::storage {
-class AsyncReader;  // storage/async_io.h
-}  // namespace liferaft::storage
 
 namespace liferaft::exec {
 
@@ -103,7 +113,7 @@ struct PipelineConfig {
   /// volume is the PR 2 pipeline.
   size_t prefetch_depth = 1;
   /// Drop queued prefetches that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
+  /// instead of holding them until claimed.
   bool cancel_on_mispredict = false;
   /// Feedback-driven per-arm depth scaling between 0 and
   /// controller.max_depth (see file comment); prefetch_depth seeds every
@@ -111,9 +121,6 @@ struct PipelineConfig {
   bool adaptive_prefetch = false;
   /// Tuning of the adaptive controllers (used when adaptive_prefetch).
   PrefetchControllerConfig controller;
-  /// Publish the prediction window to the cache so eviction demotes
-  /// predicted buckets last (BucketCache::SetPredictionWindow).
-  bool prefetch_aware_eviction = true;
   /// Materialize match tuples (disable for scheduling-scale experiments).
   bool collect_matches = true;
   /// Price prefetch bets and foreground reads by the store's real encoded
@@ -122,6 +129,10 @@ struct PipelineConfig {
   /// fetch times match foreground fetch times). Off by default — v1/v2
   /// runs stay byte-identical.
   bool charge_encoded_bytes = false;
+  /// Measured execution: charge claims and foreground misses the wall
+  /// time the step blocked on the read queues instead of modeled time
+  /// (see file comment). Needs a store with concurrent reads.
+  bool real_io = false;
 };
 
 /// Everything one pipeline step produced; the driver advances its clock by
@@ -154,9 +165,9 @@ struct StepOutcome {
 };
 
 /// One archive's pick→prefetch→claim→evaluate→account loop. The pipeline
-/// borrows every component (nothing is owned) and keeps only the
-/// per-arm prefetch bookkeeping as state; drivers own the completion
-/// clock and call Step with their current virtual time.
+/// borrows every component and owns only its read queues (an AsyncReader
+/// from the cache's store) and the per-arm prefetch bookkeeping; drivers
+/// own the completion clock and call Step with their current time.
 class BatchPipeline {
  public:
   /// @param scheduler bucket scheduling policy (not owned)
@@ -166,32 +177,26 @@ class BatchPipeline {
   ///                  config)
   /// @param topology  volume map with per-volume disk models (not owned;
   ///                  may be null = single volume using the evaluator's
-  ///                  model)
+  ///                  model). It and the cache's store must outlive the
+  ///                  pipeline: its read queues' workers use both.
   BatchPipeline(sched::Scheduler* scheduler, query::WorkloadManager* manager,
                 join::JoinEvaluator* evaluator, PipelineConfig config,
                 const storage::StorageTopology* topology = nullptr);
 
-  /// Runs one scheduling step at virtual time `now`. Returns nullopt when
-  /// no queue has pending work (outstanding prefetch bets stay pending —
-  /// work may still arrive for them). With a real-I/O reader attached
-  /// (AttachRealIo) this dispatches to the measured-time path instead of
-  /// the DiskModel arithmetic.
+  /// Runs one scheduling step at virtual time `now` (in real mode, the
+  /// driver's wall-clock time). Returns nullopt when no queue has pending
+  /// work (outstanding prefetch bets stay pending — work may still arrive
+  /// for them).
   Result<std::optional<StepOutcome>> Step(TimeMs now);
 
-  /// Switches the pipeline into real-I/O mode: prefetch bets and
-  /// foreground misses are submitted to `reader`'s per-volume submission
-  /// queues (storage/async_io.h) and the step's fetch_residual_ms carries
-  /// the MEASURED wall time the step blocked on the queues, not a modeled
-  /// quantity. The modeled Step path is untouched — a pipeline that never
-  /// attaches a reader is bit-identical to one built before this API
-  /// existed. Call before the first Step; `reader` must outlive the
-  /// pipeline (or a CancelOutstandingPrefetches + AttachRealIo(nullptr)).
-  void AttachRealIo(storage::AsyncReader* reader) { async_reader_ = reader; }
-  bool real_io() const { return async_reader_ != nullptr; }
-
   /// Drops every outstanding prefetch bet on every arm (end of run /
-  /// drain).
+  /// drain), charging the bytes they fetched as waste, and waits out
+  /// every read still queued so no I/O worker is busy on the run's behalf.
   void CancelOutstandingPrefetches();
+
+  /// Wall-clock telemetry of the read queues, one entry per volume
+  /// (empty when the pipeline has no reader: modeled with prefetch off).
+  std::vector<storage::AsyncVolumeStats> read_queue_stats() const;
 
   /// Virtual fetch time hidden behind compute by claimed prefetches,
   /// summed over all arms (per-arm split in volume_stats()).
@@ -235,7 +240,7 @@ class BatchPipeline {
   std::vector<storage::VolumeIoStats> volume_stats() const;
 
   /// Residency probe for the scheduler's phi term at time `now`: resident
-  /// in cache, or bet on by a prefetch whose modeled fetch has completed —
+  /// in cache, or bet on by a prefetch that has landed (see Landed) —
   /// which steers the metric toward the bucket we bet on, making the
   /// prediction self-fulfilling.
   sched::CacheProbe MakeCacheProbe(TimeMs now) const;
@@ -248,48 +253,44 @@ class BatchPipeline {
   size_t pending_prefetches() const;
 
  private:
-  /// One outstanding prefetch bet.
-  struct PendingPrefetch {
-    storage::BucketIndex bucket;
+  /// One outstanding read on the pipeline's AsyncReader: a prefetch bet,
+  /// or (real mode) a foreground miss.
+  struct Bet {
+    storage::BucketIndex bucket = 0;
     /// Virtual time at which the modeled fetch completes on its arm
     /// (queued behind the arm's foreground I/O and earlier prefetches).
-    TimeMs done_ms;
+    /// Modeled mode only.
+    TimeMs done_ms = 0.0;
     /// Full modeled fetch cost (T_b of the bucket), for hidden-time stats.
-    TimeMs fetch_ms;
+    /// Modeled mode only.
+    TimeMs fetch_ms = 0.0;
+    /// The read's completion, filled in by the reader's callback on the
+    /// owner thread (inside Poll()/Wait()). Shared with the callback, so a
+    /// bet dropped before its read lands leaves nothing dangling.
+    std::shared_ptr<std::optional<storage::AsyncReadCompletion>> read;
   };
 
   /// One disk arm: its outstanding bets in predicted service order (= that
   /// arm's queue order), its adaptive depth controller, and its telemetry.
   struct Arm {
-    std::deque<PendingPrefetch> bets;
+    std::deque<Bet> bets;
     /// Non-null iff config_.adaptive_prefetch.
     std::unique_ptr<PrefetchController> controller;
     storage::VolumeIoStats stats;
   };
 
-  /// Completion-side record of one real-I/O bet: filled in by the
-  /// submission-queue callback (which the reader invokes on THIS thread,
-  /// inside Poll()/Wait() — never on a worker, so no locking). The ticket
-  /// guards against a late completion of a dropped-and-resubmitted bet
-  /// resurrecting under the same bucket index.
-  struct RealBet {
-    uint64_t ticket = 0;
-    bool completed = false;
-    Status status;
-    std::shared_ptr<const storage::Bucket> bucket;
-    /// Measured submit-to-completion wall latency.
-    TimeMs latency_ms = 0.0;
-    /// Physical bytes the read moved (encoded page size when known).
-    uint64_t bytes = 0;
-  };
-
-  /// The measured-time twin of Step (see AttachRealIo).
-  Result<std::optional<StepOutcome>> StepReal(TimeMs now);
-  /// Submits bucket `b` to the reader and records the bet in real_bets_.
-  void SubmitRealBet(storage::BucketIndex b);
-  /// Blocks on the reader until real_bets_[b] completes, harvesting other
-  /// arms' completions along the way; returns the measured wall wait.
-  TimeMs WaitForRealBet(storage::BucketIndex b);
+  /// Starts reading bucket `b` on its volume's queue.
+  Bet Submit(storage::BucketIndex b);
+  /// Blocks until `bet`'s read has completed; returns the measured wall
+  /// time spent waiting.
+  TimeMs Await(const Bet& bet);
+  /// True if `bet` counts as resident at time `now`: its modeled fetch is
+  /// done (modeled mode) or its read completed successfully (real mode).
+  bool Landed(const Bet& bet, TimeMs now) const;
+  /// Charges a bet dropped unclaimed to the cache's cancel and waste
+  /// counters; returns the wasted bytes (EstimatedBytes of what the read
+  /// fetched, 0 if it failed or — real mode — has not landed).
+  uint64_t Drop(const Bet& bet);
 
   storage::VolumeIndex VolumeOf(storage::BucketIndex b) const {
     return topology_ != nullptr ? topology_->VolumeOf(b) : 0;
@@ -301,12 +302,14 @@ class BatchPipeline {
                                 : evaluator_->disk_model();
   }
   /// True if the evaluator would take the scan path for this batch with
-  /// the bucket resident — i.e. claiming the prefetch will actually be
-  /// consumed. Under prefer_scan_when_cached=false a small batch probes
-  /// the index and would never touch the fetched bucket (ChooseStrategy
-  /// ignores residency in that config, so the evaluator reaches the same
-  /// strategy whether or not we claim).
-  bool WillScan(storage::BucketIndex bucket, uint64_t queue_objects) const;
+  /// the bucket's residency `cached`. With cached = true this says whether
+  /// claiming a bet will actually be consumed: under
+  /// prefer_scan_when_cached=false a small batch probes the index and
+  /// would never touch the fetched bucket (ChooseStrategy ignores
+  /// residency in that config, so the evaluator reaches the same strategy
+  /// whether or not we claim).
+  bool WillScan(storage::BucketIndex bucket, uint64_t queue_objects,
+                bool cached) const;
 
   sched::Scheduler* scheduler_;
   query::WorkloadManager* manager_;
@@ -329,11 +332,9 @@ class BatchPipeline {
   /// windows — the cache locks every shard to swap them).
   std::vector<storage::BucketIndex> last_window_;
 
-  /// Real-I/O mode (null = modeled). Not owned.
-  storage::AsyncReader* async_reader_ = nullptr;
-  /// Outstanding real bets by bucket; arm.bets still carries the queue
-  /// ORDER (with zeroed modeled times), this map carries the completions.
-  std::unordered_map<storage::BucketIndex, RealBet> real_bets_;
+  /// The read queues every bet goes through; null when the pipeline never
+  /// reads (modeled mode with prefetch off).
+  std::unique_ptr<storage::AsyncReader> reader_;
   WallClock wall_;
 };
 

@@ -1,12 +1,12 @@
 // Feedback-driven controller for the cross-batch prefetch depth.
 //
 // The depth-K prefetch pipeline (exec::BatchPipeline) is a bet: every
-// queued prefetch pins cache space and claims future disk-arm time on the
-// strength of Scheduler::PeekNextBuckets' prediction. A fixed K is wrong
-// in both directions — too shallow wastes hidable fetch latency when the
-// predictor is accurate (steady saturated drains), too deep turns into
-// wasted reads and pinned-garbage cache pressure when the prediction
-// window churns (bursty arrivals, alpha near 1, adversarial traces). The
+// queued prefetch holds a fetched bucket in memory and claims future
+// disk-arm time on the strength of Scheduler::PeekNextBuckets' prediction.
+// A fixed K is wrong in both directions — too shallow wastes hidable fetch
+// latency when the predictor is accurate (steady saturated drains), too
+// deep turns into wasted reads and memory held by unclaimed bets when the
+// prediction window churns (bursty arrivals, alpha near 1, adversarial traces). The
 // CRAM lesson from the IP-lookup literature applies: cache policy has to
 // be tuned to the access predictor, not bolted on generically.
 //

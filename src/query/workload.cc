@@ -116,7 +116,7 @@ Result<size_t> WorkloadManager::Admit(
   return workloads.size();
 }
 
-std::vector<WorkloadEntry> WorkloadManager::TakeBucket(
+Result<std::vector<WorkloadEntry>> WorkloadManager::TakeBucket(
     storage::BucketIndex b, std::vector<QueryId>* completed,
     uint64_t* restored_bytes) {
   assert(b < queues_.size());
@@ -128,17 +128,9 @@ std::vector<WorkloadEntry> WorkloadManager::TakeBucket(
     uint64_t bytes = 0;
     // The previous dispatch's restore buffers are long dead (they never
     // outlive Restore), so the arena can be reclaimed wholesale here.
-    util::Arena* scratch = nullptr;
-    if (use_restore_arena_) {
-      restore_arena_.Reset();
-      scratch = &restore_arena_;
-    }
-    Status st = spill_->Restore(b, &entries, &bytes, scratch);
-    // A spill-file failure loses queued work; surface loudly. (The API
-    // predates Status plumbing here; corruption of our own scratch file
-    // is a process-fatal invariant violation.)
-    assert(st.ok() && "workload spill restore failed");
-    (void)st;
+    restore_arena_.Reset();
+    LIFERAFT_RETURN_IF_ERROR(
+        spill_->Restore(b, &entries, &bytes, &restore_arena_));
     ++spill_stats_.segments_restored;
     spill_stats_.bytes_restored += bytes;
     if (restored_bytes != nullptr) *restored_bytes = bytes;

@@ -135,22 +135,20 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   if (config_.mode == ExecutionMode::kShared && scheduler_ == nullptr) {
     return Status::FailedPrecondition("shared mode requires a scheduler");
   }
-  if ((config_.mode == ExecutionMode::kIndexOnly ||
-       config_.mode == ExecutionMode::kShared) &&
-      catalog_->index() == nullptr &&
-      config_.mode == ExecutionMode::kIndexOnly) {
+  if (config_.mode == ExecutionMode::kIndexOnly &&
+      catalog_->index() == nullptr) {
     return Status::FailedPrecondition("index-only mode requires an index");
   }
-
-  if (config_.io_mode == IoMode::kReal) {
-    if (config_.mode != ExecutionMode::kShared) {
-      return Status::InvalidArgument(
-          "real I/O mode requires shared execution");
-    }
-    if (!catalog_->store()->SupportsConcurrentReads()) {
-      return Status::InvalidArgument(
-          "real I/O mode requires a store with concurrent reads");
-    }
+  const bool real_io = config_.io_mode == IoMode::kReal;
+  if (real_io && config_.mode != ExecutionMode::kShared) {
+    return Status::InvalidArgument("real I/O mode requires shared execution");
+  }
+  // Real mode and prefetch bets read on the pipeline's I/O workers.
+  if ((real_io || config_.enable_prefetch || config_.adaptive_prefetch) &&
+      config_.mode == ExecutionMode::kShared &&
+      !catalog_->store()->SupportsConcurrentReads()) {
+    return Status::InvalidArgument(
+        "real I/O and prefetch require a store with concurrent reads");
   }
 
   // Reset run state.
@@ -164,14 +162,11 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   outcomes_.clear();
   outcomes_.reserve(expected_queries);
   total_matches_ = 0;
+  // The old pipeline joins its read queues' workers here, before the
+  // topology they route by is replaced.
   pipeline_.reset();
-  // After the pipeline that borrowed it, before the topology its workers
-  // route by.
-  async_reader_.reset();
   catalog_->store()->ResetStats();
-  // The old cache (and any in-flight prefetch it still holds) is drained
-  // here — while the pool it may reference is still alive, and before the
-  // topology it may shard by is replaced.
+  // Before the topology it may shard by is replaced.
   cache_.reset();
   LIFERAFT_ASSIGN_OR_RETURN(
       storage::StorageTopology topology,
@@ -198,8 +193,6 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
       config_.cache_capacity_bytes);
   evaluator_ = std::make_unique<join::JoinEvaluator>(
       cache_.get(), catalog_->index(), model_, config_.hybrid);
-  evaluator_->set_use_match_arenas(config_.match_arenas);
-  evaluator_->set_use_io_arenas(config_.io_arenas);
   evaluator_->set_topology(topology_.get());
   evaluator_->set_charge_encoded_bytes(config_.charge_encoded_bytes);
   if (config_.num_threads > 1) {
@@ -207,13 +200,11 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
       pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
     }
     evaluator_->set_thread_pool(pool_.get());
-    cache_->set_thread_pool(pool_.get());
   } else {
     pool_.reset();
   }
   manager_ =
       std::make_unique<query::WorkloadManager>(catalog_->num_buckets());
-  manager_->set_use_restore_arena(config_.io_arenas);
   if (!config_.spill_path.empty() &&
       config_.mode == ExecutionMode::kShared) {
     LIFERAFT_RETURN_IF_ERROR(manager_->EnableSpill(
@@ -227,16 +218,12 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
     pipeline_config.adaptive_prefetch = config_.adaptive_prefetch;
     pipeline_config.controller.max_depth =
         std::max<size_t>(config_.max_prefetch_depth, 1);
-    pipeline_config.prefetch_aware_eviction = config_.prefetch_aware_eviction;
     pipeline_config.collect_matches = config_.collect_matches;
     pipeline_config.charge_encoded_bytes = config_.charge_encoded_bytes;
+    pipeline_config.real_io = real_io;
     pipeline_ = std::make_unique<exec::BatchPipeline>(
         scheduler_.get(), manager_.get(), evaluator_.get(), pipeline_config,
         topology_.get());
-    if (config_.io_mode == IoMode::kReal) {
-      async_reader_ = catalog_->store()->NewAsyncReader(topology_.get());
-      pipeline_->AttachRealIo(async_reader_.get());
-    }
   }
   wall_base_ms_ = wall_.NowMs();
   return Status::OK();
@@ -379,9 +366,9 @@ RunMetrics SimEngine::AssembleMetrics(size_t n) {
                                       : query::SpillStats{};
   metrics.prefetch_hidden_ms =
       pipeline_ != nullptr ? pipeline_->prefetch_hidden_ms() : 0.0;
-  if (async_reader_ != nullptr) {
+  if (config_.io_mode == IoMode::kReal) {
     metrics.real_io_enabled = true;
-    metrics.real_io = async_reader_->VolumeStats();
+    metrics.real_io = pipeline_->read_queue_stats();
   }
   if (pipeline_ != nullptr && pipeline_->controller() != nullptr) {
     metrics.prefetch_final_depth = pipeline_->controller()->depth();

@@ -61,8 +61,8 @@ const char* IoModeName(IoMode mode);
 struct EngineConfig {
   ExecutionMode mode = ExecutionMode::kShared;
   /// Virtual-clock oracle vs measured wall-clock execution (see IoMode).
-  /// kModeled leaves every code path and result bit-identical to builds
-  /// that predate real I/O.
+  /// kModeled keeps every result bit-identical to builds that predate
+  /// real I/O.
   IoMode io_mode = IoMode::kModeled;
   /// Bucket cache capacity in buckets (paper: 20). Shared mode only.
   size_t cache_capacity = 20;
@@ -106,7 +106,8 @@ struct EngineConfig {
   size_t num_threads = 1;
   /// Cross-batch prefetch pipelining (shared mode): while a batch joins,
   /// start fetching the bucket the scheduler is predicted to pick next
-  /// (Scheduler::PeekNextBucket), pinned in cache until claimed. The
+  /// (Scheduler::PeekNextBucket), read on I/O workers and held until
+  /// claimed. Needs a store with concurrent reads. The
   /// virtual clock models one disk arm: the prefetch begins when the
   /// current batch's disk phase ends and only the in-memory matching time
   /// hides fetch latency; an early-arriving batch pays the residual
@@ -121,7 +122,7 @@ struct EngineConfig {
   /// the controller's starting depth.
   size_t prefetch_depth = 1;
   /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them pinned until claimed.
+  /// instead of holding them until claimed.
   bool cancel_on_mispredict = false;
   /// Feedback-driven prefetch depth: an exec::PrefetchController scales
   /// the depth between 0 and max_prefetch_depth from the observed
@@ -131,16 +132,6 @@ struct EngineConfig {
   bool adaptive_prefetch = false;
   /// Depth ceiling for the adaptive controller (>= 1).
   size_t max_prefetch_depth = 4;
-  /// Demote buckets inside the scheduler's prediction window last on
-  /// eviction (BucketCache::SetPredictionWindow); off = plain LRU.
-  bool prefetch_aware_eviction = true;
-  /// Per-worker bump arenas for parallel match collection (no effect at
-  /// num_threads == 1). Results are byte-identical on or off.
-  bool match_arenas = true;
-  /// Bump arenas for batch-scoped I/O scratch: spill-restore read buffers
-  /// and worker-side bucket page decode buffers. Results are
-  /// byte-identical on or off.
-  bool io_arenas = true;
   /// Optional workload-adaptive alpha: when set and the scheduler is a
   /// LifeRaftScheduler, the engine re-selects alpha from the observed
   /// arrival rate after every admission.
@@ -241,12 +232,9 @@ class SimEngine {
   std::unique_ptr<storage::BucketCache> cache_;
   std::unique_ptr<join::JoinEvaluator> evaluator_;
   std::unique_ptr<query::WorkloadManager> manager_;
-  /// Real-I/O submission queues (io_mode == kReal only). Declared before
-  /// pipeline_ — the pipeline borrows the reader, so the reader must be
-  /// destroyed (workers joined) after it; and after topology_/the store,
-  /// which the reader's workers reference.
-  std::unique_ptr<storage::AsyncReader> async_reader_;
   /// The unified pick→prefetch→claim→evaluate→account loop (shared mode).
+  /// Declared last: its read queues' workers reference topology_ and the
+  /// store, so it is destroyed (workers joined) before them.
   std::unique_ptr<exec::BatchPipeline> pipeline_;
   std::vector<AdmittedQuery> fifo_;  // per-query modes; front = next
   size_t fifo_head_ = 0;

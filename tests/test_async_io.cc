@@ -381,9 +381,10 @@ class RealIoModeTest : public ::testing::Test {
   }
 
   Result<RunMetrics> Drain(const EngineConfig& config,
-                           std::map<query::QueryId, uint64_t>* matches) {
+                           std::map<query::QueryId, uint64_t>* matches,
+                           double alpha = 0.25) {
     sched::LifeRaftConfig sc;
-    sc.alpha = 0.25;
+    sc.alpha = alpha;
     SimEngine engine(catalog_.get(),
                      std::make_unique<sched::LifeRaftScheduler>(
                          catalog_->store(), storage::DiskModel{}, sc),
@@ -435,6 +436,27 @@ TEST_F(RealIoModeTest, RealModeMatchesModeledJoinResults) {
   EXPECT_GT(real_metrics->makespan_ms, 0.0);
 }
 
+// Real mode decides a foreground read the way the modeled evaluator
+// decides its strategy: from the bucket's actual residency. A batch small
+// against an uncached bucket probes the index in both modes, so the hybrid
+// join's scan/index split is identical.
+TEST_F(RealIoModeTest, RealModeTakesTheIndexPathLikeModeled) {
+  EngineConfig config = BaseConfig(1);
+  config.enable_prefetch = false;
+  auto modeled = Drain(config, nullptr, /*alpha=*/0.0);
+  ASSERT_TRUE(modeled.ok()) << modeled.status().ToString();
+  config.io_mode = IoMode::kReal;
+  auto real = Drain(config, nullptr, /*alpha=*/0.0);
+  ASSERT_TRUE(real.ok()) << real.status().ToString();
+
+  EXPECT_GT(modeled->evaluator.indexed_batches, 0u)
+      << "the trace must contain index-path batches";
+  EXPECT_EQ(real->evaluator.indexed_batches,
+            modeled->evaluator.indexed_batches);
+  EXPECT_EQ(real->evaluator.scan_batches, modeled->evaluator.scan_batches);
+  EXPECT_EQ(real->total_matches, modeled->total_matches);
+}
+
 TEST_F(RealIoModeTest, ModeledJsonCarriesNoRealIoSection) {
   std::map<query::QueryId, uint64_t> matches;
   auto modeled = Drain(BaseConfig(1), &matches);
@@ -475,7 +497,8 @@ TEST_F(RealIoModeTest, ServeRejectsRealMode) {
 
 TEST_F(RealIoModeTest, AdaptiveRealModeCompletesWithFaultFreeQueues) {
   // Adaptive depth + cancel-on-mispredict over real queues: stale bets are
-  // dropped (late completions discarded by ticket), everything drains.
+  // dropped (a late completion lands in its dropped bet's own slot),
+  // everything drains.
   EngineConfig config = BaseConfig(2);
   config.enable_prefetch = false;
   config.adaptive_prefetch = true;

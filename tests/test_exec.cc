@@ -23,6 +23,7 @@
 
 #include "core/liferaft.h"
 #include "join/evaluator.h"
+#include "query/preprocessor.h"
 #include "query/workload.h"
 #include "sched/liferaft_scheduler.h"
 #include "sim/engine.h"
@@ -493,22 +494,163 @@ TEST_F(PipelineDrainFixture, AdaptiveNeverUnderperformsDepthOneOnMispredicts) {
 }
 
 // Prefetch-aware eviction in vivo: with the window published every step,
-// protected-tier conflicts and wasted bytes are observable and the run
-// stays deterministic; turning protection off is a pure A/B knob.
-TEST_F(PipelineDrainFixture, EvictionProtectionKnobIsDeterministicAB) {
+// protected-tier conflicts are observable, join results match the
+// prefetch-free baseline and the run stays deterministic.
+TEST_F(PipelineDrainFixture, EvictionProtectionIsDeterministic) {
   sim::EngineConfig config;
   config.collect_matches = true;
+  std::map<query::QueryId, uint64_t> base_matches;
+  Drain(config, &base_matches);
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
-  std::map<query::QueryId, uint64_t> with_matches;
-  std::map<query::QueryId, uint64_t> without_matches;
-  sim::RunMetrics with_protection = Drain(config, &with_matches);
-  config.prefetch_aware_eviction = false;
-  sim::RunMetrics without_protection = Drain(config, &without_matches);
-  EXPECT_EQ(with_matches, without_matches)
+  std::map<query::QueryId, uint64_t> a_matches;
+  std::map<query::QueryId, uint64_t> b_matches;
+  sim::RunMetrics a = Drain(config, &a_matches);
+  sim::RunMetrics b = Drain(config, &b_matches);
+  EXPECT_EQ(a_matches, base_matches)
       << "eviction policy must never change join results";
-  EXPECT_GT(with_protection.prefetch_hidden_ms, 0.0);
-  EXPECT_GT(without_protection.prefetch_hidden_ms, 0.0);
+  EXPECT_EQ(a_matches, b_matches);
+  EXPECT_GT(a.prefetch_hidden_ms, 0.0);
+  EXPECT_EQ(a.cache.evictions, b.cache.evictions);
+  EXPECT_EQ(a.cache.evictions_protected, b.cache.evictions_protected);
+  EXPECT_EQ(a.makespan_ms, b.makespan_ms);
+}
+
+// ------------------------------------------------ prefetch accounting --
+
+// Claim-time accounting: a bet's read runs on an I/O worker and is billed
+// to the store only when a batch claims it, as one cache miss plus one
+// prefetch claim — so at every step the store has read exactly one bucket
+// per cache miss, and an in-flight bet is not resident.
+TEST_F(PipelineDrainFixture, BetsAreBilledAtClaimTime) {
+  storage::BucketCache cache(catalog_->store(), 4);
+  join::JoinEvaluator evaluator(&cache, catalog_->index(),
+                                storage::DiskModel{}, join::HybridConfig{});
+  query::WorkloadManager manager(catalog_->num_buckets());
+  auto scheduler = LifeRaftSched();
+  PipelineConfig config;
+  config.enable_prefetch = true;
+  config.prefetch_depth = 2;
+  BatchPipeline pipeline(scheduler.get(), &manager, &evaluator, config);
+  for (const query::CrossMatchQuery& q : trace_) {
+    query::CrossMatchQuery stamped = q;
+    stamped.objects.clear();
+    ASSERT_TRUE(manager
+                    .Admit(stamped, query::SplitQueryByBucket(
+                                        q, catalog_->bucket_map()))
+                    .ok());
+  }
+  catalog_->store()->ResetStats();
+
+  TimeMs now = 0.0;
+  size_t steps = 0;
+  for (;;) {
+    auto step = pipeline.Step(now);
+    ASSERT_TRUE(step.ok()) << step.status().ToString();
+    if (!step->has_value()) break;
+    now += (*step)->TotalAdvanceMs();
+    ++steps;
+    const storage::CacheStats stats = cache.stats();
+    EXPECT_EQ(catalog_->store()->stats().bucket_reads, stats.misses)
+        << "step " << steps;
+    EXPECT_EQ(stats.prefetch_issued,
+              stats.prefetch_claims + pipeline.pending_prefetches());
+    EXPECT_EQ(stats.prefetch_cancels, 0u);
+  }
+  const storage::CacheStats drained = cache.stats();
+  EXPECT_GT(drained.prefetch_claims, 0u);
+  EXPECT_GE(drained.misses, drained.prefetch_claims);
+  uint64_t arm_issued = 0, arm_claims = 0;
+  for (const storage::VolumeIoStats& arm : pipeline.volume_stats()) {
+    arm_issued += arm.prefetch_issued;
+    arm_claims += arm.prefetch_claims;
+  }
+  EXPECT_EQ(drained.prefetch_issued, arm_issued);
+  EXPECT_EQ(drained.prefetch_claims, arm_claims);
+}
+
+// Waste: bets dropped unclaimed — here, every bet still queued when the
+// run ends — fetched whole buckets for nothing. Their bytes reach
+// prefetch_wasted_bytes, the store never bills them, the cache never
+// admits them, and the ledger reconciles.
+TEST_F(PipelineDrainFixture, DroppedBetsCountWasteAndStayUnbilled) {
+  storage::BucketCache cache(catalog_->store(), 4, /*num_shards=*/2);
+  join::JoinEvaluator evaluator(&cache, catalog_->index(),
+                                storage::DiskModel{}, join::HybridConfig{});
+  query::WorkloadManager manager(catalog_->num_buckets());
+  auto scheduler = LifeRaftSched();
+  PipelineConfig config;
+  config.enable_prefetch = true;
+  config.prefetch_depth = 3;
+  BatchPipeline pipeline(scheduler.get(), &manager, &evaluator, config);
+  for (const query::CrossMatchQuery& q : trace_) {
+    query::CrossMatchQuery stamped = q;
+    stamped.objects.clear();
+    ASSERT_TRUE(manager
+                    .Admit(stamped, query::SplitQueryByBucket(
+                                        q, catalog_->bucket_map()))
+                    .ok());
+  }
+  catalog_->store()->ResetStats();
+
+  auto step = pipeline.Step(0.0);
+  ASSERT_TRUE(step.ok()) << step.status().ToString();
+  ASSERT_TRUE(step->has_value());
+  const size_t pending = pipeline.pending_prefetches();
+  ASSERT_GT(pending, 0u) << "the first step must place bets";
+  const uint64_t reads = catalog_->store()->stats().bucket_reads;
+  const size_t resident = cache.size();
+
+  pipeline.CancelOutstandingPrefetches();
+  const storage::CacheStats stats = cache.stats();
+  EXPECT_EQ(pipeline.pending_prefetches(), 0u);
+  EXPECT_EQ(stats.prefetch_cancels, pending);
+  EXPECT_EQ(stats.prefetch_issued,
+            stats.prefetch_claims + stats.prefetch_cancels);
+  EXPECT_GT(stats.prefetch_wasted_bytes, 0u);
+  EXPECT_EQ(stats.prefetch_wasted_bytes % storage::Bucket::kBytesPerObject,
+            0u)
+      << "waste is charged in whole buckets";
+  EXPECT_EQ(catalog_->store()->stats().bucket_reads, reads)
+      << "a dropped bet is never billed to the store";
+  EXPECT_EQ(cache.size(), resident) << "a dropped bet is never admitted";
+}
+
+// Real mode keeps the same books: every claimed bet and every foreground
+// read is one cache miss, the cache's prefetch counters equal the per-arm
+// sums, and bets drained at the end of the run count as waste.
+TEST_F(PipelineDrainFixture, RealModeCacheCountersMatchArms) {
+  sim::EngineConfig config;
+  config.io_mode = sim::IoMode::kReal;
+  config.enable_prefetch = true;
+  config.prefetch_depth = 2;
+  config.collect_matches = true;
+  config.topology.num_volumes = 2;
+  std::map<query::QueryId, uint64_t> real_matches;
+  sim::RunMetrics real = Drain(config, &real_matches);
+  ASSERT_EQ(real.queries_completed, trace_.size());
+
+  uint64_t issued = 0, claims = 0, foreground = 0;
+  for (const storage::VolumeIoStats& arm : real.volumes) {
+    issued += arm.prefetch_issued;
+    claims += arm.prefetch_claims;
+    foreground += arm.foreground_reads;
+  }
+  EXPECT_GT(claims + foreground, 0u);
+  EXPECT_EQ(real.cache.misses, claims + foreground);
+  EXPECT_EQ(real.store.bucket_reads, real.cache.misses);
+  EXPECT_EQ(real.cache.prefetch_issued, issued);
+  EXPECT_EQ(real.cache.prefetch_claims, claims);
+  EXPECT_EQ(real.cache.prefetch_issued,
+            real.cache.prefetch_claims + real.cache.prefetch_cancels);
+  if (real.cache.prefetch_cancels > 0) {
+    EXPECT_GT(real.cache.prefetch_wasted_bytes, 0u);
+  }
+
+  config.io_mode = sim::IoMode::kModeled;
+  std::map<query::QueryId, uint64_t> modeled_matches;
+  Drain(config, &modeled_matches);
+  EXPECT_EQ(real_matches, modeled_matches);
 }
 
 // The core facade routes ProcessNextBatch through the same pipeline, so

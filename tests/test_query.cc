@@ -229,7 +229,8 @@ TEST_F(WorkloadManagerTest, TakeBucketCompletesQueries) {
       manager_->active_buckets().begin(), manager_->active_buckets().end());
   for (size_t i = 0; i < active.size(); ++i) {
     auto entries = manager_->TakeBucket(active[i], &completed);
-    EXPECT_FALSE(entries.empty());
+    ASSERT_TRUE(entries.ok()) << entries.status().ToString();
+    EXPECT_FALSE(entries->empty());
     if (i + 1 < active.size()) {
       EXPECT_TRUE(completed.empty());
     }

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 
 #include "query/preprocessor.h"
@@ -172,14 +173,48 @@ TEST_F(SpillManagerTest, TakeBucketRestoresSpilledEntries) {
   std::vector<QueryId> completed;
   uint64_t restored_bytes = 0;
   auto entries = manager_->TakeBucket(5, &completed, &restored_bytes);
+  ASSERT_TRUE(entries.ok()) << entries.status().ToString();
   // Both the resident and the spilled entry come back.
   size_t total = 0;
-  for (const auto& e : entries) total += e.objects.size();
+  for (const auto& e : *entries) total += e.objects.size();
   EXPECT_EQ(total, 70u);
   EXPECT_GT(restored_bytes, 0u);
   ASSERT_EQ(completed.size(), 2u);
   EXPECT_EQ(manager_->total_pending_objects(), 0u);
   EXPECT_EQ(manager_->resident_objects(), 0u);
+}
+
+// A spilled segment that fails its checksum on restore is an error the
+// caller sees (a Release build compiles asserts out, so nothing else would
+// stop the queued work from vanishing silently).
+TEST_F(SpillManagerTest, CorruptSpillSegmentFailsTakeBucket) {
+  const std::string path = TempPath("corrupt");
+  ASSERT_TRUE(manager_->EnableSpill(path, 50).ok());
+  Place(1, 5, 60, 0.0);  // spilled at offset 0
+  Place(2, 6, 60, 5.0);  // spilled too; its seek flushes bucket 5's record
+  ASSERT_EQ(manager_->spill_stats().segments_spilled, 2u);
+
+  // Flip one payload byte of bucket 5's record (8-byte length + 4-byte
+  // crc header, then the payload).
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+  const int byte = std::fgetc(f);
+  ASSERT_NE(byte, EOF);
+  ASSERT_EQ(std::fseek(f, 16, SEEK_SET), 0);
+  ASSERT_NE(std::fputc(byte ^ 0xFF, f), EOF);
+  ASSERT_EQ(std::fclose(f), 0);
+
+  std::vector<QueryId> completed;
+  auto entries = manager_->TakeBucket(5, &completed);
+  ASSERT_FALSE(entries.ok());
+  EXPECT_EQ(entries.status().code(), StatusCode::kCorruption);
+  EXPECT_TRUE(completed.empty());
+  // The intact segment still restores.
+  auto intact = manager_->TakeBucket(6, &completed);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  ASSERT_EQ(intact->size(), 1u);
+  EXPECT_EQ((*intact)[0].objects.size(), 60u);
 }
 
 TEST_F(SpillManagerTest, NoSpillWithoutEnable) {

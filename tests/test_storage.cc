@@ -733,88 +733,95 @@ TEST_F(CacheTestFixture, ClearEmptiesCache) {
   EXPECT_FALSE(cache.Contains(0));
 }
 
-// ------------------------------------------------------- Cache prefetch --
+// ---------------------------------------------- Externally read buckets --
 
-TEST_F(CacheTestFixture, PrefetchAsyncClaimsThroughGet) {
-  BucketCache cache(store_.get(), 3);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(2);
-  EXPECT_TRUE(cache.IsPrefetchPending(2));
-  // In flight, not resident: phi still charges T_b until the claim.
-  EXPECT_FALSE(cache.Contains(2));
-  // I/O accounting is deferred to the claim on the owner thread.
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);
-
-  auto claimed = cache.Get(2);
-  ASSERT_TRUE(claimed.ok());
-  EXPECT_EQ((*claimed)->index(), 2u);
-  EXPECT_TRUE(cache.Contains(2));
-  EXPECT_FALSE(cache.IsPrefetchPending(2));
-  EXPECT_EQ(cache.stats().prefetch_issued, 1u);
-  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);  // the bucket did come from the store
-  EXPECT_EQ(store_->stats().bucket_reads, 1u);
-
-  auto fetched = future.get();
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ((*fetched)->index(), 2u);
-}
-
-TEST_F(CacheTestFixture, PrefetchPinsResidentBucketAgainstEviction) {
+// A bucket read outside the cache (the pipeline's AsyncReader records no
+// stats) is billed when it is handed over: one miss, one store read, and
+// a prefetch claim only when it was a prefetch bet.
+TEST_F(CacheTestFixture, InsertReadCountsWhatAGetMissCounts) {
   BucketCache cache(store_.get(), 2);
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());  // LRU order: 0 is the eviction victim
-  cache.PrefetchAsync(0);          // pins the resident LRU entry
-  EXPECT_TRUE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());  // must evict 1, skipping the pinned 0
-  EXPECT_TRUE(cache.Contains(0));
-  EXPECT_FALSE(cache.Contains(1));
-  ASSERT_TRUE(cache.Get(0).ok());  // claim = hit + unpin + promote
-  EXPECT_FALSE(cache.IsPinned(0));
+  auto fetched = store_->ReadBucketForPrefetch(2);
+  ASSERT_TRUE(fetched.ok());
+  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // not billed yet
+  EXPECT_FALSE(cache.Contains(2));
+
+  cache.InsertRead(2, *fetched, /*prefetched=*/true);
+  EXPECT_TRUE(cache.Contains(2));
+  EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().prefetch_claims, 1u);
+  EXPECT_EQ(store_->stats().bucket_reads, 1u);
+  auto got = cache.Get(2);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, *fetched);  // the very same shared bucket
+  EXPECT_EQ(cache.stats().hits, 1u);
+
+  auto foreground = store_->ReadBucketForPrefetch(3);
+  ASSERT_TRUE(foreground.ok());
+  cache.InsertRead(3, *foreground, /*prefetched=*/false);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
+  EXPECT_EQ(store_->stats().bucket_reads, 2u);
+
+  // Already resident: promoted only, nothing counted.
+  cache.InsertRead(3, *foreground, /*prefetched=*/true);
+  EXPECT_EQ(cache.stats().misses, 2u);
+  EXPECT_EQ(cache.stats().prefetch_claims, 1u);
+  EXPECT_EQ(store_->stats().bucket_reads, 2u);
 }
 
+// A bet dropped before its read fetched anything counts one cancel and
+// nothing else: no waste, no miss, no store read, no residency.
 TEST_F(CacheTestFixture, CancelPrefetchDropsUnusedFetch) {
   BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);
-  cache.CancelPrefetch(4);
+  cache.CountPrefetchIssued();
+  cache.CountPrefetchCancel(/*wasted_bytes=*/0);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.prefetch_issued, 1u);
+  EXPECT_EQ(stats.prefetch_cancels, 1u);
+  EXPECT_EQ(stats.prefetch_claims, 0u);
+  EXPECT_EQ(stats.prefetch_wasted_bytes, 0u);
+  EXPECT_EQ(stats.misses, 0u);
   EXPECT_FALSE(cache.Contains(4));
-  EXPECT_FALSE(cache.IsPrefetchPending(4));
-  EXPECT_EQ(cache.stats().prefetch_cancels, 1u);
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // never claimed → never billed
-
-  // Canceling a resident pin re-enables eviction of the true LRU.
-  ASSERT_TRUE(cache.Get(0).ok());
-  ASSERT_TRUE(cache.Get(1).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPinned(0));
-  ASSERT_TRUE(cache.Get(2).ok());
-  EXPECT_FALSE(cache.Contains(0));
+  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // never claimed, never billed
 }
 
+// A bet whose read completed and was then dropped unclaimed charges the
+// fetched bytes to prefetch_wasted_bytes — the mispredict's direct cost —
+// while the store's ledger still never sees the read and the cache never
+// admits the bucket.
 TEST_F(CacheTestFixture, CancelAfterFetchCountsWastedBytes) {
   BucketCache cache(store_.get(), 2);
-  cache.PrefetchAsync(4);  // synchronous (no pool): fetched immediately
-  cache.CancelPrefetch(4);
-  // The physical read happened and was dropped unclaimed: its bytes are
-  // the mispredict's direct cost, visible to the adaptive controller.
+  auto fetched = store_->ReadBucketForPrefetch(4);
+  ASSERT_TRUE(fetched.ok());
   const uint64_t bucket_bytes =
       static_cast<uint64_t>(store_->BucketObjectCount(4)) *
       Bucket::kBytesPerObject;
+  ASSERT_EQ((*fetched)->EstimatedBytes(), bucket_bytes);
+
+  cache.CountPrefetchIssued();
+  cache.CountPrefetchCancel((*fetched)->EstimatedBytes());
+  EXPECT_EQ(cache.stats().prefetch_cancels, 1u);
   EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
-  // The I/O ledger still never saw the read (deferred-to-claim contract).
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_FALSE(cache.Contains(4));
   EXPECT_EQ(store_->stats().bucket_reads, 0u);
 
-  // A canceled pin of a resident bucket fetched nothing — no waste.
-  ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);
-  cache.CancelPrefetch(0);
-  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, bucket_bytes);
+  // A second dropped bet adds to the waste; a claim does not.
+  auto claimed = store_->ReadBucketForPrefetch(5);
+  ASSERT_TRUE(claimed.ok());
+  cache.CountPrefetchIssued();
+  cache.InsertRead(5, *claimed, /*prefetched=*/true);
+  cache.CountPrefetchIssued();
+  cache.CountPrefetchCancel(bucket_bytes);
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.prefetch_wasted_bytes, 2 * bucket_bytes);
+  EXPECT_EQ(stats.prefetch_issued,
+            stats.prefetch_claims + stats.prefetch_cancels);
 
-  // Clear() drops in-flight prefetches the same way.
-  cache.PrefetchAsync(5);
-  cache.Clear();
-  EXPECT_GT(cache.stats().prefetch_wasted_bytes, bucket_bytes);
+  // ResetStats clears the waste with the other counters.
+  cache.ResetStats();
+  EXPECT_EQ(cache.stats().prefetch_wasted_bytes, 0u);
+  EXPECT_EQ(cache.stats().prefetch_cancels, 0u);
 }
 
 // ------------------------------------------- Prefetch-aware eviction tier --
@@ -871,20 +878,6 @@ TEST_F(CacheTestFixture, WindowProtectsPerShard) {
   EXPECT_TRUE(cache.Contains(1));
   EXPECT_FALSE(cache.Contains(2));
   EXPECT_FALSE(cache.Contains(3));
-}
-
-TEST_F(CacheTestFixture, PrefetchOnWorkerDefersStatsToClaim) {
-  util::ThreadPool pool(2);
-  BucketCache cache(store_.get(), 2);
-  cache.set_thread_pool(&pool);
-  BucketCache::BucketFuture future = cache.PrefetchAsync(1);
-  auto fetched = future.get();  // wait for the worker's read
-  ASSERT_TRUE(fetched.ok());
-  EXPECT_EQ(store_->stats().bucket_reads, 0u);  // still unrecorded
-  auto claimed = cache.Get(1);
-  ASSERT_TRUE(claimed.ok());
-  EXPECT_EQ(store_->stats().bucket_reads, 1u);  // billed at claim
-  EXPECT_EQ(*claimed, *fetched);  // the very same shared bucket
 }
 
 // -------------------------------------------------------- Sharded cache --
@@ -947,47 +940,35 @@ TEST_F(CacheTestFixture, ShardedMatchesUnshardedCountersOnSameTrace) {
   EXPECT_EQ(f.evictions, s.evictions);
 }
 
-TEST_F(CacheTestFixture, PrefetchPinAndCancelWorkPerShard) {
-  BucketCache cache(store_.get(), 4, 2);
-  cache.PrefetchAsync(3);  // in-flight on shard 1
-  ASSERT_TRUE(cache.Get(0).ok());
-  cache.PrefetchAsync(0);  // resident pin on shard 0
-  EXPECT_TRUE(cache.IsPrefetchPending(3));
-  EXPECT_TRUE(cache.IsPinned(0));
-  cache.CancelPrefetch(3);
-  cache.CancelPrefetch(0);
-  EXPECT_FALSE(cache.IsPrefetchPending(3));
-  EXPECT_FALSE(cache.IsPinned(0));
-  EXPECT_EQ(cache.stats().prefetch_cancels, 2u);
-}
-
 // The races the shard mutexes must survive: many threads hammering
-// PrefetchAsync/Get/CancelPrefetch for overlapping buckets across every
-// shard, with the prefetch reads themselves running on a worker pool.
+// Get/InsertRead/Contains for overlapping buckets across every shard.
 // Run under `tools/ci.sh --tsan` this is the thread-sanitizer smoke for
-// the cache; the invariant checks below catch logic races (double claim,
-// lost pin) even without instrumentation.
-TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
+// the cache; the invariant checks below catch logic races (a lost count,
+// an over-full shard) even without instrumentation.
+TEST_F(CacheTestFixture, ConcurrentGetInsertStress) {
   constexpr size_t kThreads = 4;
   constexpr size_t kOpsPerThread = 2000;
-  util::ThreadPool prefetch_pool(2);
   util::ThreadPool callers(kThreads);
   BucketCache cache(store_.get(), 6, 3);
-  cache.set_thread_pool(&prefetch_pool);
   const size_t num_buckets = store_->num_buckets();
+  store_->ResetStats();
 
   std::atomic<uint64_t> got_objects{0};
   std::vector<std::future<void>> futures;
   for (size_t t = 0; t < kThreads; ++t) {
-    futures.push_back(callers.Submit([&cache, &got_objects, num_buckets, t] {
+    futures.push_back(callers.Submit([this, &cache, &got_objects,
+                                      num_buckets, t] {
       Rng rng(1000 + t);
       for (size_t i = 0; i < kOpsPerThread; ++i) {
         const auto b =
             static_cast<BucketIndex>(rng.UniformU64(num_buckets));
         switch (rng.UniformU64(4)) {
-          case 0:
-            cache.PrefetchAsync(b);
+          case 0: {
+            auto read = store_->ReadBucketForPrefetch(b);
+            ASSERT_TRUE(read.ok()) << read.status().ToString();
+            cache.InsertRead(b, *read, /*prefetched=*/rng.UniformU64(2) == 0);
             break;
+          }
           case 1: {
             auto bucket = cache.Get(b);
             ASSERT_TRUE(bucket.ok()) << bucket.status().ToString();
@@ -995,7 +976,7 @@ TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
             break;
           }
           case 2:
-            cache.CancelPrefetch(b);
+            cache.SetPredictionWindow(std::vector<BucketIndex>{b});
             break;
           default:
             (void)cache.Contains(b);
@@ -1006,17 +987,11 @@ TEST_F(CacheTestFixture, ConcurrentPrefetchGetCancelStress) {
   }
   for (auto& f : futures) f.get();  // rethrows assertion failures
 
-  // Drain every prefetch that is still outstanding, then check the
-  // bookkeeping reconciles: issues = claims + cancels once nothing is in
-  // flight, and no bucket is left pinned.
-  for (BucketIndex b = 0; b < num_buckets; ++b) {
-    cache.CancelPrefetch(b);
-    EXPECT_FALSE(cache.IsPrefetchPending(b));
-    EXPECT_FALSE(cache.IsPinned(b));
-  }
+  // Every miss — through Get or InsertRead — billed exactly one store
+  // read, and no shard ever stayed over its slice of the capacity.
   CacheStats stats = cache.stats();
-  EXPECT_EQ(stats.prefetch_issued,
-            stats.prefetch_claims + stats.prefetch_cancels);
+  EXPECT_EQ(store_->stats().bucket_reads, stats.misses);
+  EXPECT_LE(stats.prefetch_claims, stats.misses);
   EXPECT_GT(got_objects.load(), 0u);
   EXPECT_LE(cache.size(), cache.capacity());
 }

@@ -272,9 +272,10 @@ void ExpectIdenticalRuns(const sim::RunMetrics& a, const sim::RunMetrics& b,
 }
 
 // Per-worker match arenas change only where slice matches are stored
-// before the in-order merge; runs with arenas on and off must be
-// byte-identical in every virtual quantity and every outcome, in shared
-// and per-query modes alike.
+// before the in-order merge. Pool workers always collect into their
+// arenas and the serial loop into the heap, so a pooled run (arenas on)
+// must match a serial run (arenas off) in every virtual quantity and every
+// outcome, in shared and per-query modes alike.
 TEST_F(ParallelSharedFixture, MatchArenasOnOffAreByteIdentical) {
   Rng rng(97);
   auto arrivals = *sim::PoissonArrivals(trace_.size(), 2.0, &rng);
@@ -285,7 +286,6 @@ TEST_F(ParallelSharedFixture, MatchArenasOnOffAreByteIdentical) {
     config.mode = mode;
     config.collect_matches = true;
     config.num_threads = 4;
-    config.match_arenas = true;
     sim::SimEngine with_arenas(
         catalog_.get(),
         mode == sim::ExecutionMode::kShared ? LifeRaftSched() : nullptr,
@@ -293,7 +293,7 @@ TEST_F(ParallelSharedFixture, MatchArenasOnOffAreByteIdentical) {
     auto on = with_arenas.Run(trace_, arrivals);
     ASSERT_TRUE(on.ok()) << on.status().ToString();
 
-    config.match_arenas = false;
+    config.num_threads = 1;
     sim::SimEngine without_arenas(
         catalog_.get(),
         mode == sim::ExecutionMode::kShared ? LifeRaftSched() : nullptr,

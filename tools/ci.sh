@@ -5,16 +5,18 @@
 #
 #   tools/ci.sh          # docs check + tier-1 build & test + serving smoke
 #   tools/ci.sh --tsan   # ThreadSanitizer smoke: builds test_thread_pool,
-#                        # test_storage, test_topology, test_serve, and
-#                        # test_async_io with -fsanitize=thread and runs
-#                        # them (work stealing + sharded-cache races +
-#                        # per-volume FileStore lanes + concurrent admission
-#                        # control + submission-queue workers/completions)
+#                        # test_storage, test_topology, test_serve,
+#                        # test_async_io, test_exec, and test_core with
+#                        # -fsanitize=thread and runs them (work stealing +
+#                        # sharded-cache races + per-volume FileStore lanes
+#                        # + concurrent admission control + submission-queue
+#                        # workers/completions + prefetch bets read on the
+#                        # pipeline's I/O workers in both I/O modes)
 #   tools/ci.sh --asan   # ASan+UBSan smoke: builds test_exec, test_storage,
 #                        # test_topology, test_columnar, and test_async_io
 #                        # with -fsanitize=address,undefined and runs them
 #                        # (arena lifetimes incl. I/O scratch, prefetch
-#                        # claim/cancel memory, eviction-tier bookkeeping,
+#                        # bet claim/drop memory, eviction-tier bookkeeping,
 #                        # columnar page decode over corrupted input, and
 #                        # async-reader fault injection/teardown)
 #   tools/ci.sh --real-io # Wall-clock I/O smoke: gen-catalog to disk, replay
@@ -53,13 +55,16 @@ if [ "${1:-}" = "--tsan" ]; then
     -DLIFERAFT_BUILD_BENCH=OFF \
     -DLIFERAFT_BUILD_EXAMPLES=OFF \
     -DLIFERAFT_BUILD_TOOLS=OFF
-  cmake --build build-tsan -j --target test_thread_pool test_storage test_topology test_serve test_async_io
+  cmake --build build-tsan -j --target test_thread_pool test_storage test_topology test_serve test_async_io \
+    test_exec test_core
   # halt_on_error so a reported race fails the job, not just the log.
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_thread_pool
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_storage
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_topology
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_serve
   TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_async_io
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_exec
+  TSAN_OPTIONS="halt_on_error=1" ./build-tsan/test_core
   echo "tsan smoke OK"
   exit 0
 fi
