@@ -1,4 +1,5 @@
-// Ablation: the aged-metric unit mismatch (DESIGN.md §5).
+// Ablation: the aged-metric unit mismatch (docs/ARCHITECTURE.md,
+// "Modeling assumptions").
 //
 // The paper's Eq. 2 adds U_t (objects/ms, magnitude << 10) to A (ms,
 // magnitude >> 10^4) without normalization. Taken literally, any alpha > 0

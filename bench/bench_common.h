@@ -1,6 +1,7 @@
 // Shared setup for the figure-reproduction benchmarks: the standard scaled
 // experiment (100k-object catalog in 1,000-object buckets; 2,000-query
-// SDSS-like trace — see DESIGN.md §5 for the scaling argument) and wrappers
+// SDSS-like trace — see docs/ARCHITECTURE.md, "Modeling assumptions", for
+// the scaling argument) and wrappers
 // that run one scheduler/mode over one arrival schedule.
 
 #ifndef LIFERAFT_BENCH_BENCH_COMMON_H_
@@ -32,11 +33,12 @@ struct Standard {
 };
 
 // The benchmark suite runs the paper's experiment under a uniform 10x
-// object scale-down (DESIGN.md §5): one simulated object stands for ten of
-// the paper's, so a 1,000-object bucket represents the paper's
-// 10,000-object / 40 MB bucket. Per-object costs scale up 10x to
-// compensate, leaving every cost *ratio* — T_b per bucket, T_m share of a
-// batch, the scan-vs-probe break-even at ~3% — identical to the paper's:
+// object scale-down (docs/ARCHITECTURE.md, "Modeling assumptions"): one
+// simulated object stands for ten of the paper's, so a 1,000-object
+// bucket represents the paper's 10,000-object / 40 MB bucket. Per-object
+// costs scale up 10x to compensate, leaving every cost *ratio* — T_b per
+// bucket, T_m share of a batch, the scan-vs-probe break-even at ~3% —
+// identical to the paper's:
 //
 //   T_b  = 1.2 s per bucket   (seek 6 ms + 4 MB at 3.35 MB/s)
 //   T_m  = 1.3 ms per scaled object  (10 x 0.13 ms)

@@ -652,7 +652,10 @@ void BM_RealIoDrain(benchmark::State& state) {
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
   if (const char* env = std::getenv("LIFERAFT_BENCH_REAL_IO_DEPTH")) {
-    config.prefetch_depth = static_cast<size_t>(std::strtoull(env, nullptr, 10));
+    // 0 turns prefetching off (a depth must be >= 1).
+    const size_t depth = std::strtoull(env, nullptr, 10);
+    config.enable_prefetch = depth > 0;
+    config.prefetch_depth = std::max<size_t>(depth, 1);
   }
   config.cache_capacity = 64;
   config.topology.num_volumes = static_cast<size_t>(state.range(0));

@@ -4,13 +4,25 @@
 
 namespace liferaft::core {
 
+Status LifeRaftOptions::Validate() const {
+  LIFERAFT_RETURN_IF_ERROR(exec::StackConfig::Validate());
+  if (objects_per_bucket == 0) {
+    return Status::InvalidArgument("objects_per_bucket must be positive");
+  }
+  if (alpha < 0.0 || alpha > 1.0) {
+    return Status::InvalidArgument("alpha must be in [0, 1]");
+  }
+  if (qos.half_life_parts <= 0.0) {
+    return Status::InvalidArgument("qos.half_life_parts must be positive");
+  }
+  return Status::OK();
+}
+
 Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
     std::vector<storage::CatalogObject> catalog_objects,
     const LifeRaftOptions& options) {
   LIFERAFT_RETURN_IF_ERROR(options.Validate());
-
   auto system = std::unique_ptr<LifeRaft>(new LifeRaft());
-  system->options_ = options;
 
   storage::CatalogOptions catalog_options;
   catalog_options.objects_per_bucket = options.objects_per_bucket;
@@ -19,30 +31,6 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
       system->catalog_,
       storage::Catalog::Build(std::move(catalog_objects), catalog_options));
 
-  LIFERAFT_ASSIGN_OR_RETURN(
-      storage::StorageTopology topology,
-      storage::StorageTopology::Create(system->catalog_->num_buckets(),
-                                       options.topology, options.disk));
-  system->topology_ =
-      std::make_unique<storage::StorageTopology>(std::move(topology));
-  // Volume-aligned cache sharding only with a real multi-volume map (a
-  // single volume would collapse every bucket into shard 0).
-  system->cache_ = std::make_unique<storage::BucketCache>(
-      system->catalog_->store(), options.cache_capacity,
-      options.cache_shards,
-      system->topology_->num_volumes() > 1 ? system->topology_.get()
-                                           : nullptr);
-  system->evaluator_ = std::make_unique<join::JoinEvaluator>(
-      system->cache_.get(), system->catalog_->index(),
-      storage::DiskModel(options.disk), options.hybrid);
-  system->evaluator_->set_topology(system->topology_.get());
-  if (options.num_threads > 1) {
-    system->pool_ = std::make_unique<util::ThreadPool>(options.num_threads);
-    system->evaluator_->set_thread_pool(system->pool_.get());
-  }
-  system->manager_ = std::make_unique<query::WorkloadManager>(
-      system->catalog_->num_buckets());
-
   sched::LifeRaftConfig sched_config;
   sched_config.alpha = options.alpha;
   sched_config.normalization = options.normalization;
@@ -50,19 +38,10 @@ Result<std::unique_ptr<LifeRaft>> LifeRaft::Create(
   system->scheduler_ = std::make_unique<sched::LifeRaftScheduler>(
       system->catalog_->store(), storage::DiskModel(options.disk),
       sched_config);
-  // Rank T_b with the owning volume's disk model under heterogeneous
-  // topologies (uniform topologies rank identically).
-  system->scheduler_->AttachTopology(system->topology_.get());
-
-  exec::PipelineConfig pipeline_config;
-  pipeline_config.enable_prefetch = options.enable_prefetch;
-  pipeline_config.prefetch_depth = options.prefetch_depth;
-  pipeline_config.cancel_on_mispredict = options.cancel_on_mispredict;
-  pipeline_config.adaptive_prefetch = options.adaptive_prefetch;
-  pipeline_config.controller.max_depth = options.max_prefetch_depth;
-  system->pipeline_ = std::make_unique<exec::BatchPipeline>(
-      system->scheduler_.get(), system->manager_.get(),
-      system->evaluator_.get(), pipeline_config, system->topology_.get());
+  LIFERAFT_ASSIGN_OR_RETURN(
+      system->stack_,
+      exec::Stack::Build(system->catalog_.get(), system->scheduler_.get(),
+                         options, /*real_io=*/false));
   return system;
 }
 
@@ -79,7 +58,7 @@ Status LifeRaft::Submit(const query::CrossMatchQuery& query) {
 
   auto workloads = query::SplitQueryByBucket(query, catalog_->bucket_map());
   LIFERAFT_ASSIGN_OR_RETURN(size_t parts,
-                            manager_->Admit(stamped, workloads));
+                            stack_->manager()->Admit(stamped, workloads));
   (void)parts;
   arrivals_[query.id] = stamped.arrival_ms;
   return Status::OK();
@@ -87,9 +66,9 @@ Status LifeRaft::Submit(const query::CrossMatchQuery& query) {
 
 Result<std::optional<BatchOutcome>> LifeRaft::ProcessNextBatch(
     bool collect_matches) {
-  pipeline_->set_collect_matches(collect_matches);
-  LIFERAFT_ASSIGN_OR_RETURN(std::optional<exec::StepOutcome> step,
-                            pipeline_->Step(clock_.NowMs()));
+  LIFERAFT_ASSIGN_OR_RETURN(
+      std::optional<exec::StepOutcome> step,
+      stack_->pipeline()->Step(clock_.NowMs(), collect_matches));
   if (!step.has_value()) return std::optional<BatchOutcome>{};
   clock_.Advance(step->TotalAdvanceMs());
 
@@ -122,7 +101,7 @@ Result<std::vector<QueryCompletion>> LifeRaft::Drain(
   // The queues are empty: any prefetch bet still pending targets a bucket
   // with no work, so the bet cannot pay off until new queries arrive —
   // drop it rather than holding its read across an idle period.
-  pipeline_->CancelOutstandingPrefetches();
+  stack_->pipeline()->CancelOutstandingPrefetches();
   return std::vector<QueryCompletion>(completions_.begin() + first_new,
                                       completions_.end());
 }

@@ -1,8 +1,10 @@
 // The LifeRaft system facade — the library's primary public API.
 //
 // A LifeRaft instance owns one archive (partitioned catalog + spatial
-// index), the Workload Manager, the scheduler, the bucket cache, and the
-// Join Evaluator, wired exactly as in the paper's Figure 3:
+// index), the scheduler, and the execution stack over them (exec::Stack:
+// Workload Manager, bucket cache, Join Evaluator and batch pipeline, built
+// by the same Stack::Build the simulation engine uses), wired exactly as
+// in the paper's Figure 3:
 //
 //     Submit() -> Query Pre-Processor -> Workload Manager (queues)
 //     ProcessNextBatch() -> scheduler picks bucket -> Join Evaluator
@@ -24,14 +26,11 @@
 #include <vector>
 
 #include "core/options.h"
-#include "exec/batch_pipeline.h"
-#include "join/evaluator.h"
+#include "exec/stack.h"
 #include "query/query.h"
-#include "query/workload.h"
 #include "sched/liferaft_scheduler.h"
 #include "storage/catalog.h"
 #include "util/clock.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::core {
 
@@ -91,25 +90,31 @@ class LifeRaft {
   void set_alpha(double alpha) { scheduler_->set_alpha(alpha); }
   double alpha() const { return scheduler_->alpha(); }
 
-  size_t pending_queries() const { return manager_->pending_queries(); }
+  size_t pending_queries() const {
+    return stack_->manager()->pending_queries();
+  }
   const storage::Catalog& catalog() const { return *catalog_; }
-  storage::CacheStats cache_stats() const { return cache_->stats(); }
+  storage::CacheStats cache_stats() const { return stack_->cache()->stats(); }
   /// The multi-volume storage topology (always present; a single volume
   /// without LifeRaftOptions::topology overrides).
-  const storage::StorageTopology& topology() const { return *topology_; }
+  const storage::StorageTopology& topology() const {
+    return stack_->topology();
+  }
   /// Per-arm I/O telemetry accumulated since creation (index = volume).
   std::vector<storage::VolumeIoStats> volume_stats() const {
-    return pipeline_->volume_stats();
+    return stack_->pipeline()->volume_stats();
   }
   /// Virtual fetch time hidden behind compute by claimed prefetches.
-  TimeMs prefetch_hidden_ms() const { return pipeline_->prefetch_hidden_ms(); }
+  TimeMs prefetch_hidden_ms() const {
+    return stack_->pipeline()->prefetch_hidden_ms();
+  }
   /// The adaptive prefetch controller (null unless
   /// LifeRaftOptions::adaptive_prefetch).
   const exec::PrefetchController* prefetch_controller() const {
-    return pipeline_->controller();
+    return stack_->pipeline()->controller();
   }
   const join::EvaluatorStats& evaluator_stats() const {
-    return evaluator_->stats();
+    return stack_->evaluator()->stats();
   }
   /// Completions recorded since creation, in completion order.
   const std::vector<QueryCompletion>& completions() const {
@@ -119,18 +124,12 @@ class LifeRaft {
  private:
   LifeRaft() : clock_(0.0) {}
 
-  LifeRaftOptions options_;
   VirtualClock clock_;
-  std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
   std::unique_ptr<storage::Catalog> catalog_;
-  /// Declared before the cache/evaluator that borrow it (destruction
-  /// order).
-  std::unique_ptr<storage::StorageTopology> topology_;
-  std::unique_ptr<storage::BucketCache> cache_;
-  std::unique_ptr<join::JoinEvaluator> evaluator_;
-  std::unique_ptr<query::WorkloadManager> manager_;
   std::unique_ptr<sched::LifeRaftScheduler> scheduler_;
-  std::unique_ptr<exec::BatchPipeline> pipeline_;
+  /// Declared after the catalog and scheduler it borrows (destruction
+  /// order).
+  std::unique_ptr<exec::Stack> stack_;
   std::unordered_map<query::QueryId, TimeMs> arrivals_;
   std::vector<QueryCompletion> completions_;
 };

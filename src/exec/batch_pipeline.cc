@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "exec/stack.h"
 #include "join/hybrid.h"
 #include "storage/bucket.h"
 
@@ -11,42 +12,39 @@ namespace liferaft::exec {
 BatchPipeline::BatchPipeline(sched::Scheduler* scheduler,
                              query::WorkloadManager* manager,
                              join::JoinEvaluator* evaluator,
-                             PipelineConfig config,
+                             const StackConfig& config, bool real_io,
                              const storage::StorageTopology* topology)
     : scheduler_(scheduler),
       manager_(manager),
       evaluator_(evaluator),
       cache_(evaluator != nullptr ? evaluator->cache() : nullptr),
       topology_(topology),
-      config_(config) {
+      prefetch_(config.prefetching()),
+      // Adaptive mode always drops bets that leave the prediction window:
+      // the drop doubles as that arm's controller's mispredict signal.
+      drop_stale_(config.cancel_on_mispredict || config.adaptive_prefetch),
+      prefetch_depth_(config.prefetch_depth),
+      real_io_(real_io) {
   assert(scheduler_ != nullptr);
   assert(manager_ != nullptr);
   assert(evaluator_ != nullptr);
   assert(cache_ != nullptr);
-  if (config_.prefetch_depth == 0) config_.prefetch_depth = 1;
-  if (config_.adaptive_prefetch) {
-    // The fixed depth seeds every arm's controller; from there each arm's
-    // feedback loop owns its own depth. The controller's documented
-    // precondition: the config must validate (the engine/facade layers
-    // sanitize theirs; direct PipelineConfig users get the same check
-    // here).
-    config_.controller.initial_depth = config_.prefetch_depth;
-    if (config_.controller.max_depth == 0) config_.controller.max_depth = 1;
-    assert(config_.controller.Validate().ok());
-  }
   bucket_volumes_ = topology_ != nullptr ? topology_->num_volumes() : 1;
   const bool spill_arm = topology_ != nullptr && topology_->has_spill_arm();
   // The spill arm (when present) is the trailing entry: it carries no
   // bets and no controller, only telemetry for restore I/O.
   arms_.resize(bucket_volumes_ + (spill_arm ? 1 : 0));
-  if (config_.adaptive_prefetch) {
+  if (config.adaptive_prefetch) {
+    // The fixed depth seeds every arm's controller; from there each arm's
+    // feedback loop owns its own depth.
+    PrefetchControllerConfig controller;
+    controller.initial_depth = config.prefetch_depth;
+    controller.max_depth = config.max_prefetch_depth;
     for (size_t v = 0; v < bucket_volumes_; ++v) {
-      arms_[v].controller =
-          std::make_unique<PrefetchController>(config_.controller);
+      arms_[v].controller = std::make_unique<PrefetchController>(controller);
     }
   }
-  if (config_.real_io || config_.enable_prefetch ||
-      config_.adaptive_prefetch) {
+  if (real_io_ || prefetch_) {
     reader_ = cache_->mutable_store()->NewAsyncReader(topology_);
   }
 }
@@ -67,7 +65,7 @@ sched::CacheProbe BatchPipeline::MakeCacheProbe(TimeMs now) const {
 }
 
 bool BatchPipeline::Landed(const Bet& bet, TimeMs now) const {
-  if (!config_.real_io) return bet.done_ms <= now;
+  if (!real_io_) return bet.done_ms <= now;
   return bet.read->has_value() && (*bet.read)->status.ok();
 }
 
@@ -126,7 +124,7 @@ uint64_t BatchPipeline::Drop(const Bet& bet) {
   // Modeled mode waits for the read so the waste (which feeds the
   // adaptive controller) is the same at every thread count and disk
   // speed; real mode never blocks on a read nobody wants.
-  if (!config_.real_io) Await(bet);
+  if (!real_io_) Await(bet);
   const uint64_t wasted = bet.read->has_value() && (*bet.read)->status.ok()
                               ? (*bet.read)->bucket->EstimatedBytes()
                               : 0;
@@ -134,15 +132,8 @@ uint64_t BatchPipeline::Drop(const Bet& bet) {
   return wasted;
 }
 
-Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
-  // Adaptive mode reads each arm's depth from its controller (0 = off for
-  // now) and always drops bets that leave the prediction window — the
-  // drop doubles as that arm's controller's mispredict signal.
-  const bool prefetch_on =
-      config_.enable_prefetch || config_.adaptive_prefetch;
-  const bool drop_stale =
-      config_.cancel_on_mispredict || config_.adaptive_prefetch;
-  const bool real = config_.real_io;
+Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now,
+                                                       bool collect_matches) {
   // Prefetch bookkeeping spans only the bucket arms; the spill arm (the
   // trailing entry, when present) never carries bets.
   const size_t volumes = bucket_volumes_;
@@ -196,7 +187,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     const TimeMs waited = Await(*bet);
     const storage::AsyncReadCompletion read = std::move(**bet->read);
     TimeMs hidden;
-    if (real) {
+    if (real_io_) {
       outcome.fetch_residual_ms = waited;
       hidden = std::max(0.0, read.latency_ms - waited);
       pick_arm.stats.busy_ms += read.latency_ms;
@@ -216,7 +207,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     // A capped claim (residual == full fetch) reused the physical read
     // but hid nothing — the bet was queued too deep: stale by depth.
     if (hidden <= 0.0) ++feedback[outcome.volume].stale_claims;
-  } else if (real && !cache_->Contains(*pick) &&
+  } else if (real_io_ && !cache_->Contains(*pick) &&
              WillScan(*pick, queue_objects, /*cached=*/false)) {
     // Real foreground miss, decided with the bucket's actual residency as
     // the evaluator decides it: read on the bucket's own volume queue, so
@@ -245,7 +236,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   // not touch still gets its fetches started. New bets join the back of
   // their arm's queue; placed[v] counts the ones this step added.
   std::vector<size_t> placed(volumes, 0);
-  if (prefetch_on) {
+  if (prefetch_) {
     std::vector<size_t> want(volumes);
     for (size_t v = 0; v < volumes; ++v) {
       want[v] = std::max(current_prefetch_depth(v), arms_[v].bets.size());
@@ -262,7 +253,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
       cache_->SetPredictionWindow(predicted);
       last_window_ = predicted;
     }
-    if (drop_stale) {
+    if (drop_stale_) {
       // Drop bets that fell out of the prediction window. The arm time
       // already modeled for them is not refunded — the bet was placed and
       // lost — and any bytes the dropped bet fetched are charged to its
@@ -298,7 +289,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   }
 
   Result<join::BatchResult> evaluated =
-      evaluator_->EvaluateBucket(*pick, entries, config_.collect_matches);
+      evaluator_->EvaluateBucket(*pick, entries, collect_matches);
   if (!evaluated.ok()) {
     // The bets placed above have no modeled times yet (those need this
     // batch's disk phase); drop them before surfacing the error.
@@ -338,7 +329,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   }
   // Real mode keeps no modeled arm clocks: the physical queues ARE the
   // arm serialization.
-  if (real) return std::optional<StepOutcome>(std::move(outcome));
+  if (real_io_) return std::optional<StepOutcome>(std::move(outcome));
 
   // Independent arms: bets still in flight on the batch's own arm yield
   // that arm to the foreground I/O — their completion slips by however
@@ -388,7 +379,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
     for (size_t i = old_bets; i < arm.bets.size(); ++i) {
       Bet& p = arm.bets[i];
       const uint64_t bytes = cache_->store().ModeledBucketBytes(
-          p.bucket, config_.charge_encoded_bytes);
+          p.bucket, evaluator_->charge_encoded_bytes());
       p.fetch_ms = ModelFor(p.bucket).SequentialReadMs(bytes);
       arm_free_ms += p.fetch_ms;
       p.done_ms = arm_free_ms;
@@ -407,7 +398,7 @@ Result<std::optional<StepOutcome>> BatchPipeline::Step(TimeMs now) {
   if (result.strategy == join::JoinStrategy::kScan && !result.cache_hit) {
     ++pick_arm.stats.foreground_reads;
     pick_arm.stats.foreground_bytes += cache_->store().ModeledBucketBytes(
-        *pick, config_.charge_encoded_bytes);
+        *pick, evaluator_->charge_encoded_bytes());
   }
   if (restore_on_spill_arm) {
     // The restore occupies the spill arm from the end of the batch's scan

@@ -12,17 +12,18 @@
 // one BucketCache::InsertRead. Only two things depend on the I/O mode:
 //  * the price of time. Modeled (the default): DiskModel arm clocks, a bet
 //    counts as resident once its modeled done_ms <= now, and a claim pays
-//    the capped residual described below. Real (PipelineConfig::real_io):
-//    a bet is resident once its read completed, and a claim pays the
-//    MEASURED wall time the step blocked on the queue;
+//    the capped residual described below. Real (the constructor's
+//    `real_io`): a bet is resident once its read completed, and a claim
+//    pays the MEASURED wall time the step blocked on the queue;
 //  * who reads a foreground miss. Modeled: the evaluator's cache Get, priced
 //    T_b. Real: the bucket's volume queue, so it serializes behind that
 //    arm's bets; the batch's strategy is decided from the bucket's actual
 //    residency, as the evaluator decides it.
 //
-// Depth-K prefetch: with prefetching enabled the pipeline keeps up to
-// `prefetch_depth` predicted buckets in flight per disk arm
-// (Scheduler::PeekNextBuckets supplies the predicted service order).
+// Depth-K prefetch (the knobs are exec::StackConfig's): with prefetching
+// enabled the pipeline keeps up to `prefetch_depth` predicted buckets in
+// flight per disk arm (Scheduler::PeekNextBuckets supplies the predicted
+// service order).
 // Physical reads start immediately on the I/O workers, overlapping the
 // current batch's join compute; the *modeled* fetches serialize per arm —
 // a prefetch's virtual completion time queues behind the current batch's
@@ -69,7 +70,7 @@
 // starting point — each arm's PrefetchController tracks that arm's
 // stale-claim rate, hidden-ms per claim, and wasted prefetch bytes
 // (EWMAs over the virtual clock) and walks the arm's depth between 0 and
-// `controller.max_depth`: shrink on mispredict bursts, grow while deeper
+// `max_prefetch_depth`: shrink on mispredict bursts, grow while deeper
 // bets keep hiding latency and dropped bets are not burning bandwidth.
 // Adaptive mode implies window-based cancelation (a shrunken window drops
 // the now-out-of-scope bets, which is both the drain mechanism and the
@@ -103,37 +104,7 @@
 
 namespace liferaft::exec {
 
-/// Knobs of the unified loop.
-struct PipelineConfig {
-  /// Cross-batch prefetch pipelining (see file comment). Changes the
-  /// schedule (prefetched buckets count as resident for phi) but stays
-  /// deterministic and thread-count independent.
-  bool enable_prefetch = false;
-  /// Predicted picks kept in flight PER ARM (>= 1). Depth 1 on a single
-  /// volume is the PR 2 pipeline.
-  size_t prefetch_depth = 1;
-  /// Drop queued prefetches that leave the scheduler's prediction window
-  /// instead of holding them until claimed.
-  bool cancel_on_mispredict = false;
-  /// Feedback-driven per-arm depth scaling between 0 and
-  /// controller.max_depth (see file comment); prefetch_depth seeds every
-  /// arm's starting depth. Implies window-based cancelation of stale bets.
-  bool adaptive_prefetch = false;
-  /// Tuning of the adaptive controllers (used when adaptive_prefetch).
-  PrefetchControllerConfig controller;
-  /// Materialize match tuples (disable for scheduling-scale experiments).
-  bool collect_matches = true;
-  /// Price prefetch bets and foreground reads by the store's real encoded
-  /// page bytes instead of the kBytesPerObject estimate (see
-  /// JoinEvaluator::set_charge_encoded_bytes; keep the two in sync so bet
-  /// fetch times match foreground fetch times). Off by default — v1/v2
-  /// runs stay byte-identical.
-  bool charge_encoded_bytes = false;
-  /// Measured execution: charge claims and foreground misses the wall
-  /// time the step blocked on the read queues instead of modeled time
-  /// (see file comment). Needs a store with concurrent reads.
-  bool real_io = false;
-};
+struct StackConfig;
 
 /// Everything one pipeline step produced; the driver advances its clock by
 /// TotalAdvanceMs() and owns completion/match bookkeeping.
@@ -173,21 +144,30 @@ class BatchPipeline {
   /// @param scheduler bucket scheduling policy (not owned)
   /// @param manager   workload queues (not owned)
   /// @param evaluator join evaluator layered over the bucket cache (not
-  ///                  owned; supplies the cache, disk model, and hybrid
-  ///                  config)
+  ///                  owned; supplies the cache, disk model, hybrid
+  ///                  config, and charge_encoded_bytes)
+  /// @param config    the prefetch knobs; the caller validates it
+  ///                  (exec::Stack::Build does)
+  /// @param real_io   measured execution: charge claims and foreground
+  ///                  misses the wall time the step blocked on the read
+  ///                  queues instead of modeled time (see file comment).
+  ///                  Needs a store with concurrent reads.
   /// @param topology  volume map with per-volume disk models (not owned;
   ///                  may be null = single volume using the evaluator's
   ///                  model). It and the cache's store must outlive the
   ///                  pipeline: its read queues' workers use both.
   BatchPipeline(sched::Scheduler* scheduler, query::WorkloadManager* manager,
-                join::JoinEvaluator* evaluator, PipelineConfig config,
+                join::JoinEvaluator* evaluator, const StackConfig& config,
+                bool real_io = false,
                 const storage::StorageTopology* topology = nullptr);
 
   /// Runs one scheduling step at virtual time `now` (in real mode, the
-  /// driver's wall-clock time). Returns nullopt when no queue has pending
-  /// work (outstanding prefetch bets stay pending — work may still arrive
-  /// for them).
-  Result<std::optional<StepOutcome>> Step(TimeMs now);
+  /// driver's wall-clock time), materializing match tuples if
+  /// `collect_matches` (disable for scheduling-scale experiments).
+  /// Returns nullopt when no queue has pending work (outstanding prefetch
+  /// bets stay pending — work may still arrive for them).
+  Result<std::optional<StepOutcome>> Step(TimeMs now,
+                                          bool collect_matches = true);
 
   /// Drops every outstanding prefetch bet on every arm (end of run /
   /// drain), charging the bytes they fetched as waste, and waits out
@@ -216,7 +196,7 @@ class BatchPipeline {
   size_t current_prefetch_depth(size_t volume) const {
     const size_t raw = arms_[volume].controller != nullptr
                            ? arms_[volume].controller->depth()
-                           : config_.prefetch_depth;
+                           : prefetch_depth_;
     return std::min(raw, depth_cap_);
   }
   size_t current_prefetch_depth() const { return current_prefetch_depth(0); }
@@ -245,10 +225,6 @@ class BatchPipeline {
   /// prediction self-fulfilling.
   sched::CacheProbe MakeCacheProbe(TimeMs now) const;
 
-  /// Per-call match materialization (core::LifeRaft's ProcessNextBatch
-  /// exposes this per batch).
-  void set_collect_matches(bool collect) { config_.collect_matches = collect; }
-
   /// Outstanding bets across all arms.
   size_t pending_prefetches() const;
 
@@ -274,7 +250,7 @@ class BatchPipeline {
   /// arm's queue order), its adaptive depth controller, and its telemetry.
   struct Arm {
     std::deque<Bet> bets;
-    /// Non-null iff config_.adaptive_prefetch.
+    /// Non-null iff the config's adaptive_prefetch.
     std::unique_ptr<PrefetchController> controller;
     storage::VolumeIoStats stats;
   };
@@ -316,7 +292,12 @@ class BatchPipeline {
   join::JoinEvaluator* evaluator_;
   storage::BucketCache* cache_;
   const storage::StorageTopology* topology_;
-  PipelineConfig config_;
+  /// From the StackConfig: bets are placed at all, bets leaving the
+  /// prediction window are dropped, and the fixed per-arm depth.
+  bool prefetch_;
+  bool drop_stale_;
+  size_t prefetch_depth_;
+  bool real_io_;
 
   /// One entry per bucket volume (exactly one without a topology), plus a
   /// trailing bet-less entry for the spill arm when the topology

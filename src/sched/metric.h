@@ -9,11 +9,12 @@
 // resident contentious buckets maximally attractive. A(i) is the age of the
 // oldest request in the queue.
 //
-// Unit caveat (see DESIGN.md §5): taken literally, Eq. 2 adds objects/ms
-// (magnitude << 10) to milliseconds (magnitude >> 10^4), so any alpha > 0 is
-// immediately age-dominated and all intermediate alpha settings collapse
-// onto alpha = 1. To reproduce the paper's graded alpha behaviour we default
-// to a normalized blend over the currently active buckets:
+// Unit caveat (see docs/ARCHITECTURE.md, "Modeling assumptions"): taken
+// literally, Eq. 2 adds objects/ms (magnitude << 10) to milliseconds
+// (magnitude >> 10^4), so any alpha > 0 is immediately age-dominated and
+// all intermediate alpha settings collapse onto alpha = 1. To reproduce
+// the paper's graded alpha behaviour we default to a normalized blend over
+// the currently active buckets:
 //
 //   U_a(i) = (1 - alpha) * U_t(i)/max_j U_t(j) + alpha * A(i)/max_j A(j)
 //

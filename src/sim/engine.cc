@@ -36,8 +36,7 @@ SimEngine::SimEngine(storage::Catalog* catalog,
                      EngineConfig config)
     : catalog_(catalog),
       scheduler_(std::move(scheduler)),
-      config_(config),
-      model_(config.disk) {
+      config_(std::move(config)) {
   assert(catalog_ != nullptr);
 }
 
@@ -58,7 +57,8 @@ Result<bool> SimEngine::SharedStep() {
   // exec::BatchPipeline (shared with core::LifeRaft); the engine only owns
   // the clock and the per-query outcome bookkeeping.
   LIFERAFT_ASSIGN_OR_RETURN(std::optional<exec::StepOutcome> outcome,
-                            pipeline_->Step(clock_));
+                            stack_->pipeline()->Step(
+                                clock_, config_.collect_matches));
   if (!outcome.has_value()) return false;
   if (config_.io_mode == IoMode::kReal) {
     // Measured execution: the clock IS elapsed wall time. (max: an idle
@@ -91,7 +91,8 @@ Result<bool> SimEngine::PerQueryStep(
   // buckets or the immutable index — and the results are applied below in
   // arrival order, reproducing the serial accounting byte for byte.
   const size_t begin = fifo_head_;
-  const size_t end = pool_ != nullptr ? fifo_.size() : fifo_head_ + 1;
+  const size_t end =
+      stack_->pool() != nullptr ? fifo_.size() : fifo_head_ + 1;
   const join::PerQueryMode mode = config_.mode == ExecutionMode::kNoShare
                                       ? join::PerQueryMode::kNoShareScan
                                       : join::PerQueryMode::kIndexProbes;
@@ -103,7 +104,7 @@ Result<bool> SimEngine::PerQueryStep(
                                         aq.query->predicate, &aq.workloads});
   }
   LIFERAFT_ASSIGN_OR_RETURN(std::vector<join::PerQueryResult> results,
-                            evaluator_->EvaluatePerQueryWindow(
+                            stack_->evaluator()->EvaluatePerQueryWindow(
                                 mode, window, config_.collect_matches));
 
   for (size_t i = begin; i < end; ++i) {
@@ -130,9 +131,19 @@ Result<bool> SimEngine::PerQueryStep(
   return true;
 }
 
-Status SimEngine::PrepareRun(size_t expected_queries) {
-  LIFERAFT_RETURN_IF_ERROR(config_.disk.Validate());
-  if (config_.mode == ExecutionMode::kShared && scheduler_ == nullptr) {
+Status SimEngine::PrepareRun(
+    const std::vector<query::CrossMatchQuery>& queries) {
+  if (queries.empty()) {
+    return Status::InvalidArgument("empty trace");
+  }
+  for (const auto& q : queries) {
+    if (q.objects.empty()) {
+      return Status::InvalidArgument("query " + std::to_string(q.id) +
+                                     " has no objects");
+    }
+  }
+  const bool shared = config_.mode == ExecutionMode::kShared;
+  if (shared && scheduler_ == nullptr) {
     return Status::FailedPrecondition("shared mode requires a scheduler");
   }
   if (config_.mode == ExecutionMode::kIndexOnly &&
@@ -140,15 +151,8 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
     return Status::FailedPrecondition("index-only mode requires an index");
   }
   const bool real_io = config_.io_mode == IoMode::kReal;
-  if (real_io && config_.mode != ExecutionMode::kShared) {
+  if (real_io && !shared) {
     return Status::InvalidArgument("real I/O mode requires shared execution");
-  }
-  // Real mode and prefetch bets read on the pipeline's I/O workers.
-  if ((real_io || config_.enable_prefetch || config_.adaptive_prefetch) &&
-      config_.mode == ExecutionMode::kShared &&
-      !catalog_->store()->SupportsConcurrentReads()) {
-    return Status::InvalidArgument(
-        "real I/O and prefetch require a store with concurrent reads");
   }
 
   // Reset run state.
@@ -160,71 +164,13 @@ Status SimEngine::PrepareRun(size_t expected_queries) {
   pending_interactive_ = 0;
   pending_outcomes_.clear();
   outcomes_.clear();
-  outcomes_.reserve(expected_queries);
+  outcomes_.reserve(queries.size());
   total_matches_ = 0;
-  // The old pipeline joins its read queues' workers here, before the
-  // topology they route by is replaced.
-  pipeline_.reset();
-  catalog_->store()->ResetStats();
-  // Before the topology it may shard by is replaced.
-  cache_.reset();
   LIFERAFT_ASSIGN_OR_RETURN(
-      storage::StorageTopology topology,
-      storage::StorageTopology::Create(catalog_->num_buckets(),
-                                       config_.topology, config_.disk));
-  topology_ = std::make_unique<storage::StorageTopology>(std::move(topology));
-  if (scheduler_ != nullptr) {
-    // Cost-based policies price T_b with the owning volume's model
-    // (heterogeneous volume_disk; uniform topologies rank identically).
-    scheduler_->AttachTopology(topology_.get());
-    if (auto* lr = dynamic_cast<sched::LifeRaftScheduler*>(scheduler_.get())) {
-      // One flag governs every T_b consumer: ranking must price fetches
-      // the same way the evaluator and pipeline charge them.
-      lr->set_charge_encoded_bytes(config_.charge_encoded_bytes);
-    }
-  }
-  // Volume-aligned cache sharding only when there genuinely are volumes
-  // to align with: a single-volume topology would collapse every bucket
-  // into shard 0 instead of reproducing the by-bucket-id map.
-  cache_ = std::make_unique<storage::BucketCache>(
-      catalog_->store(), std::max<size_t>(config_.cache_capacity, 1),
-      config_.cache_shards,
-      topology_->num_volumes() > 1 ? topology_.get() : nullptr,
-      config_.cache_capacity_bytes);
-  evaluator_ = std::make_unique<join::JoinEvaluator>(
-      cache_.get(), catalog_->index(), model_, config_.hybrid);
-  evaluator_->set_topology(topology_.get());
-  evaluator_->set_charge_encoded_bytes(config_.charge_encoded_bytes);
-  if (config_.num_threads > 1) {
-    if (pool_ == nullptr || pool_->num_threads() != config_.num_threads) {
-      pool_ = std::make_unique<util::ThreadPool>(config_.num_threads);
-    }
-    evaluator_->set_thread_pool(pool_.get());
-  } else {
-    pool_.reset();
-  }
-  manager_ =
-      std::make_unique<query::WorkloadManager>(catalog_->num_buckets());
-  if (!config_.spill_path.empty() &&
-      config_.mode == ExecutionMode::kShared) {
-    LIFERAFT_RETURN_IF_ERROR(manager_->EnableSpill(
-        config_.spill_path, config_.workload_memory_budget));
-  }
-  if (config_.mode == ExecutionMode::kShared) {
-    exec::PipelineConfig pipeline_config;
-    pipeline_config.enable_prefetch = config_.enable_prefetch;
-    pipeline_config.prefetch_depth = config_.prefetch_depth;
-    pipeline_config.cancel_on_mispredict = config_.cancel_on_mispredict;
-    pipeline_config.adaptive_prefetch = config_.adaptive_prefetch;
-    pipeline_config.controller.max_depth =
-        std::max<size_t>(config_.max_prefetch_depth, 1);
-    pipeline_config.collect_matches = config_.collect_matches;
-    pipeline_config.charge_encoded_bytes = config_.charge_encoded_bytes;
-    pipeline_config.real_io = real_io;
-    pipeline_ = std::make_unique<exec::BatchPipeline>(
-        scheduler_.get(), manager_.get(), evaluator_.get(), pipeline_config,
-        topology_.get());
-  }
+      stack_, exec::Stack::Build(catalog_, shared ? scheduler_.get() : nullptr,
+                                 config_, real_io, std::move(stack_)));
+  // After the old stack's read workers are joined: the run's reads only.
+  catalog_->store()->ResetStats();
   wall_base_ms_ = wall_.NowMs();
   return Status::OK();
 }
@@ -235,19 +181,10 @@ Result<RunMetrics> SimEngine::Run(
   if (queries.size() != arrivals_ms.size()) {
     return Status::InvalidArgument("queries and arrivals size mismatch");
   }
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty trace");
-  }
   if (!std::is_sorted(arrivals_ms.begin(), arrivals_ms.end())) {
     return Status::InvalidArgument("arrivals must be ascending");
   }
-  for (const auto& q : queries) {
-    if (q.objects.empty()) {
-      return Status::InvalidArgument("query " + std::to_string(q.id) +
-                                     " has no objects");
-    }
-  }
-  LIFERAFT_RETURN_IF_ERROR(PrepareRun(queries.size()));
+  LIFERAFT_RETURN_IF_ERROR(PrepareRun(queries));
 
   // Adaptive alpha plumbing (shared mode with a LifeRaft scheduler only).
   auto* adaptive_target =
@@ -277,7 +214,8 @@ Result<RunMetrics> SimEngine::Run(
       stamped.arrival_ms = arrival;
       stamped.predicate = q.predicate;
       LIFERAFT_ASSIGN_OR_RETURN(size_t parts,
-                                manager_->Admit(stamped, workloads));
+                                stack_->manager()->Admit(stamped,
+                                                         workloads));
       (void)parts;
       if (config_.alpha_selector != nullptr && adaptive_target != nullptr) {
         rate_estimator.OnArrival(arrival);
@@ -292,7 +230,7 @@ Result<RunMetrics> SimEngine::Run(
                                     arrival});
     }
     uint64_t pending = config_.mode == ExecutionMode::kShared
-                           ? manager_->total_pending_objects()
+                           ? stack_->manager()->total_pending_objects()
                            : fifo_pending_objects_;
     peak_pending_objects_ = std::max(peak_pending_objects_, pending);
     return Status::OK();
@@ -319,9 +257,9 @@ Result<RunMetrics> SimEngine::Run(
       clock_ = std::max(clock_, arrivals_ms[next_arrival]);
     }
   }
-  if (pipeline_ != nullptr) {
+  if (stack_->pipeline() != nullptr) {
     // Final predictions whose buckets were never scheduled again.
-    pipeline_->CancelOutstandingPrefetches();
+    stack_->pipeline()->CancelOutstandingPrefetches();
   }
   return AssembleMetrics(n);
 }
@@ -338,8 +276,9 @@ RunMetrics SimEngine::AssembleMetrics(size_t n) {
   // dominates and the max is exact — bit-identical to the pre-topology
   // single-clock accounting on one volume.
   metrics.makespan_ms = clock_;
-  if (pipeline_ != nullptr) {
-    metrics.volumes = pipeline_->volume_stats();
+  const exec::BatchPipeline* pipeline = stack_->pipeline();
+  if (pipeline != nullptr) {
+    metrics.volumes = pipeline->volume_stats();
     for (const storage::VolumeIoStats& v : metrics.volumes) {
       metrics.makespan_ms = std::max(metrics.makespan_ms,
                                      v.consumed_until_ms);
@@ -357,26 +296,25 @@ RunMetrics SimEngine::AssembleMetrics(size_t n) {
   metrics.p95_response_ms = pct.Percentile(95);
   metrics.p99_response_ms = pct.Percentile(99);
   metrics.response_cov = metrics.response_stats.coefficient_of_variation();
-  metrics.cache = cache_->stats();
+  metrics.cache = stack_->cache()->stats();
   metrics.store = catalog_->store()->stats();
-  metrics.evaluator = evaluator_->stats();
+  metrics.evaluator = stack_->evaluator()->stats();
   metrics.total_matches = total_matches_;
   metrics.peak_pending_objects = peak_pending_objects_;
-  metrics.spill = manager_ != nullptr ? manager_->spill_stats()
-                                      : query::SpillStats{};
+  metrics.spill = stack_->manager()->spill_stats();
   metrics.prefetch_hidden_ms =
-      pipeline_ != nullptr ? pipeline_->prefetch_hidden_ms() : 0.0;
+      pipeline != nullptr ? pipeline->prefetch_hidden_ms() : 0.0;
   if (config_.io_mode == IoMode::kReal) {
     metrics.real_io_enabled = true;
-    metrics.real_io = pipeline_->read_queue_stats();
+    metrics.real_io = pipeline->read_queue_stats();
   }
-  if (pipeline_ != nullptr && pipeline_->controller() != nullptr) {
-    metrics.prefetch_final_depth = pipeline_->controller()->depth();
-    metrics.prefetch_stale_ewma = pipeline_->controller()->stale_ewma();
+  if (pipeline != nullptr && pipeline->controller() != nullptr) {
+    metrics.prefetch_final_depth = pipeline->controller()->depth();
+    metrics.prefetch_stale_ewma = pipeline->controller()->stale_ewma();
     // Depths exist only for bucket arms; a spill arm has no controller.
-    metrics.arm_final_depths.reserve(pipeline_->bucket_volumes());
-    for (size_t v = 0; v < pipeline_->bucket_volumes(); ++v) {
-      metrics.arm_final_depths.push_back(pipeline_->current_prefetch_depth(v));
+    metrics.arm_final_depths.reserve(pipeline->bucket_volumes());
+    for (size_t v = 0; v < pipeline->bucket_volumes(); ++v) {
+      metrics.arm_final_depths.push_back(pipeline->current_prefetch_depth(v));
     }
   }
   return metrics;
@@ -394,19 +332,10 @@ Result<RunMetrics> SimEngine::Serve(
     // virtual clock; a wall-clock serving loop is a different experiment.
     return Status::InvalidArgument("serving requires modeled I/O");
   }
-  if (queries.empty()) {
-    return Status::InvalidArgument("empty trace");
-  }
-  for (const auto& q : queries) {
-    if (q.objects.empty()) {
-      return Status::InvalidArgument("query " + std::to_string(q.id) +
-                                     " has no objects");
-    }
-  }
   LIFERAFT_RETURN_IF_ERROR(serve.Validate());
+  LIFERAFT_RETURN_IF_ERROR(PrepareRun(queries));
   LIFERAFT_ASSIGN_OR_RETURN(std::vector<TimeMs> arrivals_ms,
                             BuildArrivals(serve.arrivals, queries.size()));
-  LIFERAFT_RETURN_IF_ERROR(PrepareRun(queries.size()));
 
   AdmissionController admission(serve, config_.rate_window_ms);
   auto* adaptive_target =
@@ -428,8 +357,9 @@ Result<RunMetrics> SimEngine::Serve(
                          : QosClass::kBatch;
       // The controller sees the buffer as it stands; its verdict is final
       // — a shed query never touches the workload manager.
-      bool admit = admission.Offer(arrival, manager_->total_pending_objects(),
-                                   manager_->pending_queries(),
+      const query::WorkloadManager& manager = *stack_->manager();
+      bool admit = admission.Offer(arrival, manager.total_pending_objects(),
+                                   manager.pending_queries(),
                                    q.objects.size());
       if (!admit) {
         ++shed_by_class[static_cast<size_t>(qos)];
@@ -450,12 +380,13 @@ Result<RunMetrics> SimEngine::Serve(
       stamped.arrival_ms = arrival;
       stamped.predicate = q.predicate;
       LIFERAFT_ASSIGN_OR_RETURN(size_t parts,
-                                manager_->Admit(stamped, workloads));
+                                stack_->manager()->Admit(stamped,
+                                                         workloads));
       (void)parts;
       ++admitted;
       if (qos == QosClass::kInteractive) ++pending_interactive_;
       peak_pending_objects_ =
-          std::max(peak_pending_objects_, manager_->total_pending_objects());
+          std::max(peak_pending_objects_, manager.total_pending_objects());
       if (config_.alpha_selector != nullptr && adaptive_target != nullptr) {
         auto alpha =
             config_.alpha_selector->AlphaFor(admission.RateQps(arrival));
@@ -482,7 +413,7 @@ Result<RunMetrics> SimEngine::Serve(
     if (qos_caps) {
       const size_t cap = pending_interactive_ > 0 ? interactive_cap
                                                   : batch_cap;
-      pipeline_->set_depth_cap(
+      stack_->pipeline()->set_depth_cap(
           cap != 0 ? cap : std::numeric_limits<size_t>::max());
     }
     Result<bool> worked = SharedStep();
@@ -498,9 +429,7 @@ Result<RunMetrics> SimEngine::Serve(
       clock_ = std::max(clock_, arrivals_ms[next_arrival]);
     }
   }
-  if (pipeline_ != nullptr) {
-    pipeline_->CancelOutstandingPrefetches();
-  }
+  stack_->pipeline()->CancelOutstandingPrefetches();
 
   RunMetrics metrics = AssembleMetrics(admitted);
   metrics.queries_offered = n;

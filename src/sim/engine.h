@@ -1,7 +1,7 @@
 // The discrete-event simulation engine: replays a query trace against one
 // archive under a chosen execution mode, advancing a virtual clock by the
 // disk model's costs. Joins execute for real (matches are exact); only I/O
-// latency is modeled — see DESIGN.md §2.
+// latency is modeled — see docs/ARCHITECTURE.md, "Modeling assumptions".
 //
 // Execution modes (paper §5):
 //  * kShared    — batch processing through the Workload Manager / LifeRaft
@@ -23,17 +23,15 @@
 #include <optional>
 #include <vector>
 
-#include "exec/batch_pipeline.h"
-#include "join/evaluator.h"
+#include "exec/stack.h"
 #include "query/workload.h"
 #include "sched/adaptive.h"
 #include "sched/scheduler.h"
 #include "sim/run_metrics.h"
 #include "sim/serve.h"
 #include "storage/catalog.h"
-#include "storage/topology.h"
+#include "util/clock.h"
 #include "util/status.h"
-#include "util/thread_pool.h"
 
 namespace liferaft::sim {
 
@@ -57,92 +55,23 @@ enum class IoMode { kModeled, kReal };
 
 const char* IoModeName(IoMode mode);
 
-/// Engine configuration.
-struct EngineConfig {
+/// Engine configuration: the execution stack's knobs (exec::StackConfig;
+/// the spill and prefetch knobs apply to shared mode only) plus the
+/// engine's own.
+struct EngineConfig : exec::StackConfig {
   ExecutionMode mode = ExecutionMode::kShared;
   /// Virtual-clock oracle vs measured wall-clock execution (see IoMode).
   /// kModeled keeps every result bit-identical to builds that predate
   /// real I/O.
   IoMode io_mode = IoMode::kModeled;
-  /// Bucket cache capacity in buckets (paper: 20). Shared mode only.
-  size_t cache_capacity = 20;
-  /// Lock/LRU shards of the bucket cache (clamped to [1, cache_capacity]).
-  /// 1 reproduces the unsharded cache exactly; higher values split the
-  /// capacity into independent LRU domains, which changes eviction
-  /// patterns (and with them modeled timings) deterministically while
-  /// join results stay exact.
-  size_t cache_shards = 1;
-  /// Optional cache byte budget (BucketCache capacity_bytes; 0 = off).
-  /// When set, residency is additionally bounded by charged bytes — real
-  /// encoded page size for columnar buckets, the kBytesPerObject estimate
-  /// otherwise — so at a fixed MB budget a compressed catalog keeps more
-  /// buckets resident. Combine with a generous cache_capacity (e.g. the
-  /// bucket count) for a pure byte budget.
-  uint64_t cache_capacity_bytes = 0;
-  /// Price every T_b consumer (scheduler U_t, evaluator scan/NoShare
-  /// fetches, pipeline bets) by the store's real encoded page bytes when
-  /// it has them. Off by default: runs are then provably independent of
-  /// the on-disk format, which is what the v1/v2 identity tests pin down.
-  bool charge_encoded_bytes = false;
-  join::HybridConfig hybrid;
-  /// Disk cost model; with a multi-volume topology this is the default
-  /// every volume inherits unless topology.volume_disk overrides it.
-  storage::DiskModelParams disk;
-  /// Multi-volume storage topology (num_volumes, range/hash placement,
-  /// optional per-volume disk params): each volume models an independent
-  /// disk arm with its own prefetch queue and virtual busy time, so the
-  /// shared-mode pipeline overlaps fetches across arms. The default
-  /// single volume reproduces the pre-topology engine byte for byte.
-  /// Per-query modes use it only for per-volume T_b charging.
-  storage::StorageTopologyConfig topology;
   /// Keep match tuples (disable for scheduling-scale experiments).
   bool collect_matches = false;
-  /// Worker threads for join work. 1 = serial, the paper's loop. In shared
-  /// mode the batch's join is sliced across workers by workload entry; in
-  /// NoShare/IndexOnly the ready queries fan out one task per query. Either
-  /// way parallel runs produce results byte-identical to serial runs:
-  /// counters and I/O charges are merged in arrival order, so scheduling,
-  /// cache traffic, and the virtual clock are unchanged.
-  size_t num_threads = 1;
-  /// Cross-batch prefetch pipelining (shared mode): while a batch joins,
-  /// start fetching the bucket the scheduler is predicted to pick next
-  /// (Scheduler::PeekNextBucket), read on I/O workers and held until
-  /// claimed. Needs a store with concurrent reads. The
-  /// virtual clock models one disk arm: the prefetch begins when the
-  /// current batch's disk phase ends and only the in-memory matching time
-  /// hides fetch latency; an early-arriving batch pays the residual
-  /// max(0, fetch_done - now). Changes the schedule (prefetched buckets
-  /// count as resident for phi), so results are NOT comparable to
-  /// non-prefetch runs; they are still deterministic and independent of
-  /// num_threads. The loop itself lives in exec::BatchPipeline, shared
-  /// with core::LifeRaft.
-  bool enable_prefetch = false;
-  /// Predicted picks kept in flight when prefetching (>= 1); depth 1 is
-  /// the PR 2 single-bet pipeline. Under adaptive_prefetch this is only
-  /// the controller's starting depth.
-  size_t prefetch_depth = 1;
-  /// Drop prefetch bets that leave the scheduler's prediction window
-  /// instead of holding them until claimed.
-  bool cancel_on_mispredict = false;
-  /// Feedback-driven prefetch depth: an exec::PrefetchController scales
-  /// the depth between 0 and max_prefetch_depth from the observed
-  /// stale-claim rate and hidden-ms per claim (implies window-based bet
-  /// cancelation; enables the pipeline regardless of enable_prefetch).
-  /// Deterministic, like everything on the virtual clock.
-  bool adaptive_prefetch = false;
-  /// Depth ceiling for the adaptive controller (>= 1).
-  size_t max_prefetch_depth = 4;
   /// Optional workload-adaptive alpha: when set and the scheduler is a
   /// LifeRaftScheduler, the engine re-selects alpha from the observed
   /// arrival rate after every admission.
   const sched::AlphaSelector* alpha_selector = nullptr;
   /// Window for the adaptive controller's arrival-rate estimate.
   TimeMs rate_window_ms = 120'000.0;
-  /// Workload overflow (shared mode): when non-empty, workload queues
-  /// exceeding `workload_memory_budget` resident objects spill to this
-  /// scratch file; restores charge disk time through the cost model.
-  std::string spill_path;
-  uint64_t workload_memory_budget = 0;
 };
 
 /// Per-query outcome of a run.
@@ -198,11 +127,11 @@ class SimEngine {
     TimeMs arrival_ms;
   };
 
-  // Validates the disk model / scheduler preconditions, resets all run
-  // state, and (re)builds topology, cache, evaluator, manager, and — in
-  // shared mode — the batch pipeline. Shared verbatim between Run and
-  // Serve so both drive the identical execution stack.
-  Status PrepareRun(size_t expected_queries);
+  // Checks the trace and the mode preconditions, resets all run state,
+  // and rebuilds the execution stack (exec::Stack::Build; with a batch
+  // pipeline in shared mode). Shared verbatim between Run and Serve so
+  // both drive the identical execution stack.
+  Status PrepareRun(const std::vector<query::CrossMatchQuery>& queries);
   // Collects the common (mode-independent) portion of RunMetrics from the
   // engine's post-loop state. `n` is the query count used for the
   // throughput denominator.
@@ -224,18 +153,9 @@ class SimEngine {
   std::unique_ptr<sched::Scheduler> scheduler_;
   EngineConfig config_;
 
-  // Run state. Declaration order matters: the cache (and evaluator)
-  // borrow the topology, so topology_ must outlive them on destruction.
-  storage::DiskModel model_;
-  std::unique_ptr<util::ThreadPool> pool_;  // non-null iff num_threads > 1
-  std::unique_ptr<storage::StorageTopology> topology_;
-  std::unique_ptr<storage::BucketCache> cache_;
-  std::unique_ptr<join::JoinEvaluator> evaluator_;
-  std::unique_ptr<query::WorkloadManager> manager_;
-  /// The unified pick→prefetch→claim→evaluate→account loop (shared mode).
-  /// Declared last: its read queues' workers reference topology_ and the
-  /// store, so it is destroyed (workers joined) before them.
-  std::unique_ptr<exec::BatchPipeline> pipeline_;
+  // Run state. The stack is rebuilt by every PrepareRun; its worker pool
+  // is kept across runs.
+  std::unique_ptr<exec::Stack> stack_;
   std::vector<AdmittedQuery> fifo_;  // per-query modes; front = next
   size_t fifo_head_ = 0;
   TimeMs clock_ = 0.0;

@@ -1,8 +1,9 @@
 // Synthetic sky-catalog generator: the stand-in for the SDSS fact table
-// (see DESIGN.md §2). Objects are a mixture of an isotropic background and
-// Gaussian clusters, giving the spatially non-uniform density a real survey
-// has (which in turn makes equal-count buckets cover unequal sky areas,
-// exactly the regime HTM partitioning exists for).
+// (see docs/ARCHITECTURE.md, "Modeling assumptions"). Objects are a
+// mixture of an isotropic background and Gaussian clusters, giving the
+// spatially non-uniform density a real survey has (which in turn makes
+// equal-count buckets cover unequal sky areas, exactly the regime HTM
+// partitioning exists for).
 
 #ifndef LIFERAFT_WORKLOAD_CATALOG_GEN_H_
 #define LIFERAFT_WORKLOAD_CATALOG_GEN_H_

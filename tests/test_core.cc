@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/liferaft.h"
 #include "federation/federation.h"
+#include "sim/engine.h"
 #include "util/random.h"
 #include "workload/catalog_gen.h"
 #include "workload/trace_gen.h"
@@ -46,6 +49,8 @@ query::CrossMatchQuery RegionQuery(query::QueryId id, SkyPoint center,
   return q;
 }
 
+// The facade's own fields; the execution stack's are covered by
+// StackConfigTest below.
 TEST(LifeRaftOptionsTest, ValidateRejectsBadValues) {
   LifeRaftOptions o;
   o.alpha = 1.5;
@@ -54,23 +59,73 @@ TEST(LifeRaftOptionsTest, ValidateRejectsBadValues) {
   o.objects_per_bucket = 0;
   EXPECT_FALSE(o.Validate().ok());
   o = LifeRaftOptions{};
-  o.cache_capacity = 0;
-  EXPECT_FALSE(o.Validate().ok());
-  o = LifeRaftOptions{};
-  o.disk.transfer_mb_per_s = -1;
-  EXPECT_FALSE(o.Validate().ok());
-  o = LifeRaftOptions{};
   o.qos.half_life_parts = 0;
   EXPECT_FALSE(o.Validate().ok());
   o = LifeRaftOptions{};
-  o.max_prefetch_depth = 0;
-  EXPECT_FALSE(o.Validate().ok());
-  o = LifeRaftOptions{};
-  o.adaptive_prefetch = true;
-  o.prefetch_depth = 8;  // starting depth above the adaptive ceiling
-  o.max_prefetch_depth = 4;
+  o.cache_capacity = 0;  // a stack field, checked through the same call
   EXPECT_FALSE(o.Validate().ok());
   EXPECT_TRUE(LifeRaftOptions{}.Validate().ok());
+}
+
+// One rule set for the execution stack, enforced by exec::Stack::Build:
+// every invalid StackConfig fails both drivers with InvalidArgument
+// instead of being clamped or accepted by one of them.
+TEST(StackConfigTest, BothDriversRejectEveryInvalidConfig) {
+  using Mutation = void (*)(exec::StackConfig*);
+  const std::vector<std::pair<const char*, Mutation>> table = {
+      {"cache_capacity=0", [](exec::StackConfig* c) { c->cache_capacity = 0; }},
+      {"cache_shards=0", [](exec::StackConfig* c) { c->cache_shards = 0; }},
+      {"index_threshold<0",
+       [](exec::StackConfig* c) { c->hybrid.index_threshold = -0.1; }},
+      {"num_threads=0", [](exec::StackConfig* c) { c->num_threads = 0; }},
+      {"prefetch_depth=0",
+       [](exec::StackConfig* c) {
+         c->enable_prefetch = true;
+         c->prefetch_depth = 0;
+       }},
+      {"max_prefetch_depth=0",
+       [](exec::StackConfig* c) {
+         c->adaptive_prefetch = true;
+         c->max_prefetch_depth = 0;
+       }},
+      {"adaptive start above ceiling",
+       [](exec::StackConfig* c) {
+         c->adaptive_prefetch = true;
+         c->prefetch_depth = 8;
+         c->max_prefetch_depth = 4;
+       }},
+      {"transfer_mb_per_s<0",
+       [](exec::StackConfig* c) { c->disk.transfer_mb_per_s = -1; }},
+      {"num_volumes=0",
+       [](exec::StackConfig* c) { c->topology.num_volumes = 0; }},
+  };
+  const std::vector<storage::CatalogObject> objects = TestCatalog(2000, 1);
+  storage::CatalogOptions catalog_options;
+  catalog_options.objects_per_bucket = 500;
+  auto catalog = storage::Catalog::Build(objects, catalog_options);
+  ASSERT_TRUE(catalog.ok());
+  const std::vector<query::CrossMatchQuery> trace = {
+      RegionQuery(1, SkyPoint{10.0, 10.0}, 5.0, 20, 3)};
+  const std::vector<TimeMs> arrivals = {0.0};
+
+  for (const auto& [name, mutate] : table) {
+    SCOPED_TRACE(name);
+    LifeRaftOptions options;
+    mutate(&options);
+    EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+    auto system = LifeRaft::Create(objects, options);
+    EXPECT_EQ(system.status().code(), StatusCode::kInvalidArgument);
+
+    sim::EngineConfig engine_config;
+    mutate(&engine_config);
+    sim::SimEngine engine(catalog->get(),
+                          std::make_unique<sched::LifeRaftScheduler>(
+                              (*catalog)->store(), storage::DiskModel{},
+                              sched::LifeRaftConfig{}),
+                          engine_config);
+    auto run = engine.Run(trace, arrivals);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(LifeRaftCreateTest, CreateRejectsBadOptions) {

@@ -17,9 +17,12 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/prefetch_controller.h"
+#include "exec/stack.h"
 
 #include "core/liferaft.h"
 #include "join/evaluator.h"
@@ -53,7 +56,7 @@ TEST(BatchPipelineTest, EmptyManagerYieldsNoStep) {
   sched::LifeRaftScheduler scheduler((*catalog)->store(),
                                      storage::DiskModel{},
                                      sched::LifeRaftConfig{});
-  PipelineConfig config;
+  StackConfig config;
   config.enable_prefetch = true;
   BatchPipeline pipeline(&scheduler, &manager, &evaluator, config);
 
@@ -528,7 +531,7 @@ TEST_F(PipelineDrainFixture, BetsAreBilledAtClaimTime) {
                                 storage::DiskModel{}, join::HybridConfig{});
   query::WorkloadManager manager(catalog_->num_buckets());
   auto scheduler = LifeRaftSched();
-  PipelineConfig config;
+  StackConfig config;
   config.enable_prefetch = true;
   config.prefetch_depth = 2;
   BatchPipeline pipeline(scheduler.get(), &manager, &evaluator, config);
@@ -579,7 +582,7 @@ TEST_F(PipelineDrainFixture, DroppedBetsCountWasteAndStayUnbilled) {
                                 storage::DiskModel{}, join::HybridConfig{});
   query::WorkloadManager manager(catalog_->num_buckets());
   auto scheduler = LifeRaftSched();
-  PipelineConfig config;
+  StackConfig config;
   config.enable_prefetch = true;
   config.prefetch_depth = 3;
   BatchPipeline pipeline(scheduler.get(), &manager, &evaluator, config);
@@ -704,6 +707,79 @@ TEST_F(PipelineDrainFixture, CoreFacadePrefetchHidesFetchLatency) {
   storage::CacheStats stats = (*pipelined)->cache_stats();
   EXPECT_EQ(stats.prefetch_issued,
             stats.prefetch_claims + stats.prefetch_cancels);
+}
+
+// One stack, two drivers: core::LifeRaft and sim::SimEngine both build
+// their execution stack through exec::Stack::Build, so a t=0 trace drains
+// through LifeRaft::Drain exactly as through SimEngine::Run — the same
+// virtual clock bit for bit, completion order, per-query matches, cache
+// traffic and hidden fetch time — across prefetch modes and topologies.
+TEST_F(PipelineDrainFixture, FacadeAndEngineDrainIdentically) {
+  std::vector<std::pair<std::string, StackConfig>> cases;
+  for (size_t volumes : {size_t{1}, size_t{2}}) {
+    StackConfig off;
+    off.topology.num_volumes = volumes;
+    off.cache_shards = volumes > 1 ? 4 : 1;
+    StackConfig depth2 = off;
+    depth2.enable_prefetch = true;
+    depth2.prefetch_depth = 2;
+    StackConfig adaptive = off;
+    adaptive.adaptive_prefetch = true;
+    const std::string topo = volumes > 1 ? "-2vol" : "-1vol";
+    cases.emplace_back("off" + topo, off);
+    cases.emplace_back("depth2" + topo, depth2);
+    cases.emplace_back("adaptive" + topo, adaptive);
+  }
+  // A byte budget of five buckets, well below the 20-bucket count cap.
+  StackConfig budget;
+  budget.cache_capacity_bytes =
+      5 * 1000 * uint64_t{storage::Bucket::kBytesPerObject};
+  cases.emplace_back("byte-budget", budget);
+
+  std::map<std::string, uint64_t> evictions;
+  for (const auto& [name, stack] : cases) {
+    SCOPED_TRACE(name);
+    sim::EngineConfig engine_config;
+    static_cast<StackConfig&>(engine_config) = stack;
+    engine_config.collect_matches = true;
+    sim::SimEngine engine(catalog_.get(), LifeRaftSched(), engine_config);
+    auto metrics = engine.Run(trace_, arrivals_);
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+
+    core::LifeRaftOptions options;
+    static_cast<StackConfig&>(options) = stack;
+    auto system = core::LifeRaft::Create(catalog_objects_, options);
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    for (query::CrossMatchQuery q : trace_) {
+      q.arrival_ms = 0.0;
+      ASSERT_TRUE((*system)->Submit(q).ok());
+    }
+    std::map<query::QueryId, uint64_t> facade_matches;
+    auto done = (*system)->Drain([&](const core::BatchOutcome& b) {
+      for (const query::Match& m : b.matches) ++facade_matches[m.query_id];
+    });
+    ASSERT_TRUE(done.ok()) << done.status().ToString();
+
+    EXPECT_EQ((*system)->now_ms(), metrics->makespan_ms);
+    ASSERT_EQ(done->size(), engine.outcomes().size());
+    std::map<query::QueryId, uint64_t> engine_matches;
+    for (size_t i = 0; i < done->size(); ++i) {
+      const sim::QueryOutcome& o = engine.outcomes()[i];
+      EXPECT_EQ((*done)[i].id, o.id) << "completion " << i;
+      EXPECT_EQ((*done)[i].completion_ms, o.completion_ms)
+          << "completion " << i;
+      if (o.matches > 0) engine_matches[o.id] = o.matches;
+    }
+    EXPECT_EQ(facade_matches, engine_matches);
+    const storage::CacheStats cache = (*system)->cache_stats();
+    EXPECT_EQ(cache.hits, metrics->cache.hits);
+    EXPECT_EQ(cache.misses, metrics->cache.misses);
+    EXPECT_EQ(cache.evictions, metrics->cache.evictions);
+    EXPECT_EQ((*system)->prefetch_hidden_ms(), metrics->prefetch_hidden_ms);
+    evictions[name] = cache.evictions;
+  }
+  EXPECT_GT(evictions["byte-budget"], evictions["off-1vol"])
+      << "the facade's byte budget must bind";
 }
 
 }  // namespace

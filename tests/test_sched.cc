@@ -70,8 +70,9 @@ TEST(MetricTest, RawBlendEndpoints) {
 }
 
 TEST(MetricTest, RawBlendIsAgeDominatedForRealisticUnits) {
-  // The unit mismatch documented in DESIGN.md: with U_t ~ 0.1 obj/ms and
-  // ages in minutes, even alpha = 0.05 is dominated by the age term.
+  // The unit mismatch documented in docs/ARCHITECTURE.md: with U_t ~ 0.1
+  // obj/ms and ages in minutes, even alpha = 0.05 is dominated by the age
+  // term.
   double ut_hot = 7.7, ut_cold = 0.08;   // cached vs uncached queue
   double age_hot = 100.0, age_cold = 60'000.0;
   double hot = AgedThroughputRaw(ut_hot, age_hot, 0.05);

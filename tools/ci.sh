@@ -23,6 +23,10 @@
 #                        # with --io real over 2 volumes (prefetch on), then
 #                        # inspect --verify-checksums. Exercises the pread
 #                        # submission queues end to end on a real filesystem.
+#   tools/ci.sh --perfbench # End-to-end benchmark smoke: builds perfbench/
+#                        # against src/ (Release, .bench_build/) and runs
+#                        # every workload at smoke size in both trace modes,
+#                        # checking its oracle and its metric names.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -86,6 +90,12 @@ if [ "${1:-}" = "--real-io" ]; then
   ./build/liferaft_tool inspect --store "$realio_tmp/cat.lfr" \
     --verify-checksums --volumes 2
   echo "real-io smoke OK"
+  exit 0
+fi
+
+if [ "${1:-}" = "--perfbench" ]; then
+  python3 perfbench/test_perfbench.py
+  echo "perfbench smoke OK"
   exit 0
 fi
 
